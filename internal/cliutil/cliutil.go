@@ -360,8 +360,11 @@ func (ff *FeatureFlags) Export(col *flowseq.Collector, logw io.Writer, tool stri
 
 // DefaultStepBudget is the per-trial virtual-time watchdog default: a
 // full attack trial executes ~12k scheduler events, so five million is
-// ~400x headroom for any legitimate configuration while a chaos-hang
-// trial burns through it in a fraction of a second.
+// ~400x headroom for the attack itself while a chaos-hang trial burns
+// through it in a fraction of a second. Background load legitimately
+// costs far more (crosstraffic at 300 Mbps fires ~7.5M events per
+// trial), so experiment.CrossTraffic widens the budget by its measured
+// event rate.
 const DefaultStepBudget = 5_000_000
 
 // SuperviseFlags holds the sweep supervision flag group: retry bounds,

@@ -9,13 +9,17 @@ import (
 // Rand is a seeded source of the random quantities a trial needs: service
 // times, natural jitter, loss coin-flips, permutations. It wraps math/rand
 // so that every trial's randomness flows from one explicit seed.
+//
+// The source is this package's copy of math/rand's generator (rng.go),
+// whose seeding skips the divisions that dominate rand.NewSource; every
+// draw is bit-identical to rand.New(rand.NewSource(seed)).
 type Rand struct {
 	rng *rand.Rand
 }
 
 // NewRand returns a deterministic generator for the given seed.
 func NewRand(seed int64) *Rand {
-	return &Rand{rng: rand.New(rand.NewSource(seed))}
+	return &Rand{rng: rand.New(newSource(seed))}
 }
 
 // Float64 returns a uniform value in [0,1).

@@ -5,8 +5,8 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -29,8 +29,7 @@ type Event struct {
 	fn   func()
 	fnA  func(any) // AtArg form: pre-bound callback + argument, no closure
 	arg  any
-	idx  int // heap index; -1 once removed
-	dead bool
+	id   int32  // index in the scheduler's event table (see eventQueue)
 	next *Event // free-list link; non-nil only while recycled
 }
 
@@ -139,7 +138,7 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 func (s *Scheduler) SetStepHook(fn func(time.Duration)) { s.stepHook = fn }
 
 // Len reports the number of pending events.
-func (s *Scheduler) Len() int { return len(s.queue) }
+func (s *Scheduler) Len() int { return len(s.queue.heap) }
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the past
 // (before Now) panics: it is always a simulation bug, never a recoverable
@@ -148,18 +147,30 @@ func (s *Scheduler) At(at time.Duration, fn func()) *Event {
 	if fn == nil {
 		panic("simtime: At called with nil callback")
 	}
+	ev := s.event(at)
+	ev.fn = fn
+	s.queue.push(ev)
+	return ev
+}
+
+// event returns an unarmed event stamped with at and the next sequence
+// number: a recycled one when the free list has one (its callback fields
+// were cleared when it fired), otherwise a new one entered in the event
+// table.
+func (s *Scheduler) event(at time.Duration) *Event {
 	if at < s.now {
 		panic(fmt.Sprintf("simtime: event scheduled in the past: at=%v now=%v", at, s.now))
 	}
 	ev := s.free
 	if ev != nil {
 		s.free = ev.next
-		*ev = Event{at: at, seq: s.nextSeq, fn: fn}
+		ev.next = nil
 	} else {
-		ev = &Event{at: at, seq: s.nextSeq, fn: fn}
+		ev = &Event{}
+		s.queue.register(ev)
 	}
+	ev.at, ev.seq = at, s.nextSeq
 	s.nextSeq++
-	heap.Push(&s.queue, ev)
 	return ev
 }
 
@@ -182,18 +193,9 @@ func (s *Scheduler) AtArg(at time.Duration, fn func(any), arg any) *Event {
 	if fn == nil {
 		panic("simtime: AtArg called with nil callback")
 	}
-	if at < s.now {
-		panic(fmt.Sprintf("simtime: event scheduled in the past: at=%v now=%v", at, s.now))
-	}
-	ev := s.free
-	if ev != nil {
-		s.free = ev.next
-		*ev = Event{at: at, seq: s.nextSeq, fnA: fn, arg: arg}
-	} else {
-		ev = &Event{at: at, seq: s.nextSeq, fnA: fn, arg: arg}
-	}
-	s.nextSeq++
-	heap.Push(&s.queue, ev)
+	ev := s.event(at)
+	ev.fnA, ev.arg = fn, arg
+	s.queue.push(ev)
 	return ev
 }
 
@@ -209,15 +211,13 @@ func (s *Scheduler) AfterArg(d time.Duration, fn func(any), arg any) *Event {
 // a no-op, so callers can cancel unconditionally in cleanups. A fired
 // event's handle is dead (its struct may have been recycled into a new
 // event); callers must clear stored handles inside the callback rather
-// than cancel them afterwards.
+// than cancel them afterwards. Removal is eager, so the queue only ever
+// holds live events.
 func (s *Scheduler) Cancel(ev *Event) {
-	if ev == nil || ev.dead {
+	if ev == nil || !s.queue.queued(ev) {
 		return
 	}
-	ev.dead = true
-	if ev.idx >= 0 {
-		heap.Remove(&s.queue, ev.idx)
-	}
+	s.queue.cancel(ev)
 }
 
 // Step runs the single earliest pending event, advancing the clock to its
@@ -226,57 +226,47 @@ func (s *Scheduler) Cancel(ev *Event) {
 // deadline armed it panics with *DeadlineError once host time runs out —
 // in both cases the error, not a hang, is the contract.
 func (s *Scheduler) Step() bool {
-	if s.interrupted {
+	if s.interrupted || len(s.queue.heap) == 0 {
 		return false
 	}
-	for len(s.queue) > 0 {
-		ev := heap.Pop(&s.queue).(*Event)
-		if ev.dead {
-			continue
-		}
-		if s.stepBudget > 0 && s.steps >= s.stepBudget {
-			// Push the event back so the scheduler state stays coherent for
-			// a recovering supervisor that wants to inspect it.
-			ev.dead = false
-			heap.Push(&s.queue, ev)
-			panic(&BudgetError{Steps: s.steps, Now: s.now})
-		}
-		s.steps++
-		if s.steps%pollEvery == 0 {
-			if s.interrupt != nil && s.interrupt() {
-				s.interrupted = true
-				ev.dead = false
-				heap.Push(&s.queue, ev)
-				return false
-			}
-			if !s.wallDeadline.IsZero() && time.Now().After(s.wallDeadline) {
-				ev.dead = false
-				heap.Push(&s.queue, ev)
-				panic(&DeadlineError{Limit: s.wallLimit, Steps: s.steps, Now: s.now})
-			}
-		}
-		ev.dead = true
-		s.now = ev.at
-		if s.stepHook != nil {
-			s.stepHook(ev.at)
-		}
-		if ev.fn != nil {
-			ev.fn()
-		} else {
-			ev.fnA(ev.arg)
-		}
-		// Recycle only after the callback returns: a callback that reaches
-		// its own stale handle (cancel-guarded cleanup paths) still sees a
-		// dead, unpooled event and no-ops. The struct becomes live again
-		// only when a later At re-arms it.
-		ev.fn = nil
-		ev.fnA = nil
-		ev.arg = nil
-		ev.next = s.free
-		s.free = ev
-		return true
+	ev := s.queue.pop()
+	if s.stepBudget > 0 && s.steps >= s.stepBudget {
+		// Push the event back so the scheduler state stays coherent for
+		// a recovering supervisor that wants to inspect it.
+		s.queue.push(ev)
+		panic(&BudgetError{Steps: s.steps, Now: s.now})
 	}
-	return false
+	s.steps++
+	if s.steps%pollEvery == 0 {
+		if s.interrupt != nil && s.interrupt() {
+			s.interrupted = true
+			s.queue.push(ev)
+			return false
+		}
+		if !s.wallDeadline.IsZero() && time.Now().After(s.wallDeadline) {
+			s.queue.push(ev)
+			panic(&DeadlineError{Limit: s.wallLimit, Steps: s.steps, Now: s.now})
+		}
+	}
+	s.now = ev.at
+	if s.stepHook != nil {
+		s.stepHook(ev.at)
+	}
+	if ev.fn != nil {
+		ev.fn()
+	} else {
+		ev.fnA(ev.arg)
+	}
+	// Recycle only after the callback returns: a callback that reaches
+	// its own stale handle (cancel-guarded cleanup paths) still sees a
+	// popped, unpooled event and no-ops. The struct becomes live again
+	// only when a later At re-arms it.
+	ev.fn = nil
+	ev.fnA = nil
+	ev.arg = nil
+	ev.next = s.free
+	s.free = ev
+	return true
 }
 
 // Run executes events until the queue is empty.
@@ -292,11 +282,7 @@ func (s *Scheduler) Run() {
 func (s *Scheduler) RunUntil(deadline time.Duration) {
 	s.guardReentry()
 	defer func() { s.running = false }()
-	for {
-		ev := s.peek()
-		if ev == nil || ev.at > deadline {
-			break
-		}
+	for len(s.queue.heap) > 0 && s.queue.heap[0].at <= deadline {
 		if !s.Step() {
 			// Interrupted: stop draining. The clock still advances to the
 			// deadline below so collection sees a consistent end time.
@@ -324,49 +310,152 @@ func (s *Scheduler) guardReentry() {
 	s.running = true
 }
 
-func (s *Scheduler) peek() *Event {
-	for len(s.queue) > 0 {
-		if s.queue[0].dead {
-			heap.Pop(&s.queue)
-			continue
+// eventQueue is a 4-ary min-heap ordered by (time, sequence). Every
+// (at, seq) key is distinct, so the pop order is the strict total order
+// on keys, whatever the heap shape.
+//
+// Each heap slot carries its event's key inline, so sifting compares
+// contiguous values instead of chasing *Event pointers, and the typed
+// methods avoid container/heap's interface call per Less and Swap. Four
+// children per node halve the tree depth of a binary heap, and a node's
+// children are adjacent in memory. Slots name their event by its index in
+// the event table rather than by pointer: the heap holds no pointers, so
+// moving a slot never pays a garbage-collector write barrier and the
+// collector never scans it. pos tracks each queued event's heap index,
+// which makes Cancel an eager O(log n) removal.
+type eventQueue struct {
+	heap []qslot
+	evs  []*Event // event table, by Event.id
+	pos  []int32  // heap index by Event.id; -1 while not queued
+	free []int32  // ids released by cancelled events
+}
+
+type qslot struct {
+	at  time.Duration
+	seq uint64
+	id  int32
+}
+
+// register enters a new event in the table, reusing a released id when
+// there is one.
+func (q *eventQueue) register(ev *Event) {
+	if n := len(q.free); n > 0 {
+		ev.id = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.evs[ev.id] = ev
+		return
+	}
+	ev.id = int32(len(q.evs))
+	q.evs = append(q.evs, ev)
+	q.pos = append(q.pos, -1)
+}
+
+// queued reports whether ev is pending in this queue. A cancelled
+// event's id may already name another event, hence the identity check.
+func (q *eventQueue) queued(ev *Event) bool {
+	return int(ev.id) < len(q.evs) && q.evs[ev.id] == ev && q.pos[ev.id] >= 0
+}
+
+// cancel removes a queued event for good and releases its id. The
+// struct is never recycled, so a stale handle to it stays inert.
+func (q *eventQueue) cancel(ev *Event) {
+	q.remove(int(q.pos[ev.id]))
+	q.evs[ev.id] = nil
+	q.free = append(q.free, ev.id)
+}
+
+func (q *eventQueue) push(ev *Event) {
+	q.heap = append(q.heap, qslot{at: ev.at, seq: ev.seq, id: ev.id})
+	q.up(len(q.heap) - 1)
+}
+
+// pop removes and returns the earliest event. The queue must be non-empty.
+func (q *eventQueue) pop() *Event {
+	id := q.heap[0].id
+	q.remove(0)
+	return q.evs[id]
+}
+
+// remove deletes the slot at index i. The hole sinks along earliest
+// children to a leaf, then the former last slot fills it and rises into
+// place. The last slot almost always belongs near the leaves, so this
+// spends one comparison per level less than sifting it down from i.
+func (q *eventQueue) remove(i int) {
+	h := q.heap
+	q.pos[h[i].id] = -1
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	q.heap = h
+	if i == n {
+		return
+	}
+	j := q.sink(i)
+	h[j] = last
+	q.up(j)
+}
+
+// up moves the slot at i toward the root until its parent is earlier.
+func (q *eventQueue) up(i int) {
+	h, pos := q.heap, q.pos
+	s := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if before(&s, &h[p]) == 0 {
+			break
 		}
-		return s.queue[0]
+		h[i] = h[p]
+		pos[h[i].id] = int32(i)
+		i = p
 	}
-	return nil
+	h[i] = s
+	pos[s.id] = int32(i)
 }
 
-// eventQueue is a min-heap ordered by (time, sequence).
-type eventQueue []*Event
-
-var _ heap.Interface = (*eventQueue)(nil)
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// sink moves the hole at i down to a leaf, lifting the earliest child
+// into it at each level, and returns the hole's final index.
+func (q *eventQueue) sink(i int) int {
+	h, pos := q.heap, q.pos
+	for {
+		c := 4*i + 1
+		if c >= len(h) {
+			return i
+		}
+		m := minChild(h, c)
+		h[i] = h[m]
+		pos[h[i].id] = int32(i)
+		i = m
 	}
-	return q[i].seq < q[j].seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
+// minChild returns the index of the earliest of the up to four children
+// starting at c. A full group is decided as a two-round tournament whose
+// winners are selected arithmetically: which child is earliest is data,
+// not a predictable branch, and a mispredicted branch per comparison
+// would cost more than the comparisons themselves.
+func minChild(h []qslot, c int) int {
+	if c+3 < len(h) {
+		g := h[c : c+4 : c+4]
+		a := before(&g[1], &g[0])
+		b := 2 + before(&g[3], &g[2])
+		w := before(&g[b&3], &g[a&3])
+		return c + (a ^ ((a ^ b) & -w))
+	}
+	m := c
+	for j := c + 1; j < len(h); j++ {
+		if before(&h[j], &h[m]) == 1 {
+			m = j
+		}
+	}
+	return m
 }
 
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.idx = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.idx = -1
-	*q = old[:n-1]
-	return ev
+// before reports whether slot a fires before slot b, as 1 or 0: the
+// borrow out of the 128-bit subtraction (a.at, a.seq) − (b.at, b.seq).
+// Times are never negative, so comparing at unsigned is comparing it
+// signed.
+func before(a, b *qslot) int {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return int(borrow)
 }

@@ -206,7 +206,7 @@ func TestSchedulerCancelledEventsNotRecycled(t *testing.T) {
 	// If Cancel had recycled, this second Cancel of the stale handle could
 	// have removed `keep` (had the struct been reused). It must be a no-op.
 	s.Cancel(cancelled)
-	if keep.dead {
+	if !s.queue.queued(keep) || s.Len() != 1 {
 		t.Fatal("double-Cancel of a cancelled event killed a live event")
 	}
 	s.Run()

@@ -33,7 +33,8 @@ type Conn struct {
 	sndUna     uint64
 	sndNxt     uint64
 	maxSndNxt  uint64 // highest sndNxt ever reached; resends below it are retransmits
-	sendBuf    []byte // unacked+unsent bytes, base sequence sndUna
+	sendBuf    []byte // [sendOff:] holds the unacked+unsent bytes, base sequence sndUna
+	sendOff    int    // acked prefix of sendBuf, reclaimed on the next Write that needs room
 	cwnd       int
 	ssthresh   int
 	peerWnd    int
@@ -60,7 +61,7 @@ type Conn struct {
 
 	// Receiver state.
 	rcvNxt      uint64
-	ooo         map[uint64][]byte
+	ooo         []oooChunk // buffered future data, ascending by seq
 	oooBytes    int
 	delAckTimer *simtime.Event
 	delAckCount int
@@ -116,7 +117,6 @@ func NewConn(sched *simtime.Scheduler, cfg Config, name string, iss uint64, out 
 		ssthresh: cfg.InitSsthresh,
 		peerWnd:  cfg.RecvWindow,
 		rto:      time.Second, // conservative pre-handshake RTO (RFC 6298 §2)
-		ooo:      make(map[uint64][]byte),
 		arena:    cfg.Pool,
 	}
 	c.onRTOFn = c.onRTO
@@ -160,7 +160,7 @@ func (c *Conn) SRTT() time.Duration { return c.srtt }
 func (c *Conn) Cwnd() int { return c.cwnd }
 
 // Buffered reports bytes accepted by Write but not yet acknowledged.
-func (c *Conn) Buffered() int { return len(c.sendBuf) }
+func (c *Conn) Buffered() int { return len(c.sendBuf) - c.sendOff }
 
 // OnStateChange registers a callback invoked after every state transition.
 func (c *Conn) OnStateChange(fn func(State)) { c.onState = fn }
@@ -207,6 +207,15 @@ func (c *Conn) Write(p []byte) error {
 	}
 	if c.finQueued {
 		return fmt.Errorf("tcpsim: %s: write after CloseSend", c.name)
+	}
+	// Reclaim the acked prefix before appending. Acks advance sendOff
+	// rather than reslicing forward, which would strand the consumed
+	// capacity and force a fresh backing array every time the tail fills;
+	// compacting only when the tail is full keeps the copy rare.
+	if c.sendOff > 0 && len(c.sendBuf)+len(p) > cap(c.sendBuf) {
+		n := copy(c.sendBuf, c.sendBuf[c.sendOff:])
+		c.sendBuf = c.sendBuf[:n]
+		c.sendOff = 0
 	}
 	c.sendBuf = append(c.sendBuf, p...)
 	c.trySend()

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"h2privacy/internal/netsim"
+	"h2privacy/internal/pool"
 	"h2privacy/internal/simtime"
 )
 
@@ -416,5 +417,54 @@ func TestSegmentWireSize(t *testing.T) {
 	seg := &Segment{Payload: make([]byte, 100)}
 	if seg.WireSize() != 140 {
 		t.Fatalf("WireSize = %d, want 140", seg.WireSize())
+	}
+}
+
+// TestSteadyWriteAckReusesSendBuffer drives a sender through a steady
+// write/partial-ack cycle and pins that the send buffer's acked prefix is
+// reclaimed rather than stranded: with pooled segments and payloads, the
+// only allocation left per cycle is the RTO timer the partial ACK re-arms
+// (cancelled events are never recycled).
+func TestSteadyWriteAckReusesSendBuffer(t *testing.T) {
+	sched := simtime.NewScheduler()
+	arena := pool.New()
+	segs := &segPool{arena: arena}
+	// Segments go straight back to the pool, as after a lossless delivery.
+	out := func(seg *Segment) { segs.release(seg) }
+	c, err := NewConn(sched, Config{Pool: arena, DisableRACKWindow: true}, "server", 1000, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.segs = segs
+	c.Listen()
+	c.Deliver(&Segment{Flags: FlagSYN, Seq: 0, Window: 1 << 20})
+	c.Deliver(&Segment{Flags: FlagACK, Seq: 1, Ack: c.sndNxt, Window: 1 << 20})
+	if c.State() != StateEstablished {
+		t.Fatalf("state = %v, want established", c.State())
+	}
+	chunk := make([]byte, 1000)
+	ack := &Segment{Flags: FlagACK, Seq: 1, Window: 1 << 20}
+	cycle := func() {
+		if err := c.Write(chunk); err != nil {
+			t.Fatal(err)
+		}
+		// Ack all but the chunk just written, so every Write appends
+		// behind a live tail.
+		ack.Ack = c.sndNxt - uint64(len(chunk))
+		c.Deliver(ack)
+	}
+	for i := 0; i < 100; i++ {
+		cycle() // warm the arena and the segment free list
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs > 1 {
+		t.Fatalf("steady write/ack cycle allocates %.2f times, want at most 1 (the re-armed RTO)", allocs)
+	}
+	if c.Buffered() != len(chunk) {
+		t.Fatalf("buffered = %d, want %d", c.Buffered(), len(chunk))
+	}
+	// Never more than two chunks are live, so a reclaiming buffer stays
+	// small; one that only ever appends grows without bound.
+	if n := cap(c.sendBuf); n > 4*len(chunk) {
+		t.Fatalf("send buffer capacity grew to %d bytes for %d live", n, c.Buffered())
 	}
 }

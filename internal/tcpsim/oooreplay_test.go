@@ -1,11 +1,23 @@
 package tcpsim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 
 	"h2privacy/internal/simtime"
 )
+
+// bufferChunks loads chunks into c's out-of-order buffer the way
+// processData keeps it: one entry per seq, ascending.
+func bufferChunks(c *Conn, chunks map[uint64][]byte) {
+	for seq, buf := range chunks {
+		c.ooo = append(c.ooo, oooChunk{seq: seq, buf: buf})
+		c.oooBytes += len(buf)
+	}
+	slices.SortFunc(c.ooo, func(a, b oooChunk) int { return cmp.Compare(a.seq, b.seq) })
+}
 
 // TestOverlappingOOOGranularityStable replays the shape of the historical
 // map-iteration bug through drainOutOfOrder: randomized sets of mutually
@@ -19,21 +31,20 @@ func TestOverlappingOOOGranularityStable(t *testing.T) {
 		var want string
 		for rep := 0; rep < 5; rep++ {
 			rng := simtime.NewRand(seed)
-			c := &Conn{ooo: make(map[uint64][]byte)}
+			c := &Conn{}
 			var calls []int
 			c.onData = func(p []byte) { calls = append(calls, len(p)) }
 
 			// 3–8 chunks whose spans overlap aggressively: starts drawn
 			// from a narrow window, lengths long enough to nest and chain.
+			chunks := make(map[uint64][]byte)
 			nChunks := 3 + rng.Intn(6)
 			for i := 0; i < nChunks; i++ {
 				seq := uint64(100 + rng.Intn(400))
 				ln := 50 + rng.Intn(300)
-				c.ooo[seq] = make([]byte, ln)
+				chunks[seq] = make([]byte, ln)
 			}
-			for _, b := range c.ooo {
-				c.oooBytes += len(b)
-			}
+			bufferChunks(c, chunks)
 			// The in-order fill lands somewhere inside the chunk window, so
 			// several chunks become applicable at once.
 			c.rcvNxt = uint64(100 + rng.Intn(400))

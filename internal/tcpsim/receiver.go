@@ -1,5 +1,10 @@
 package tcpsim
 
+import (
+	"slices"
+	"sort"
+)
+
 // processData handles the payload and FIN of an incoming segment: in-order
 // delivery to the application, out-of-order buffering, duplicate detection,
 // and the immediate-ACK behaviour that produces the dup-ACK signal the
@@ -32,12 +37,13 @@ func (c *Conn) processData(seg *Segment) {
 		// Future data: buffer and emit a duplicate ACK for the hole.
 		c.stats.OutOfOrderSegs++
 		if c.oooBytes+len(seg.Payload) <= c.cfg.RecvWindow {
-			if _, ok := c.ooo[seq]; !ok {
+			i := sort.Search(len(c.ooo), func(i int) bool { return c.ooo[i].seq >= seq })
+			if i == len(c.ooo) || c.ooo[i].seq != seq {
 				// Rented from the arena (plain make without one) and
 				// returned by drainOutOfOrder once delivered or superseded.
 				buf := c.arena.Bytes(len(seg.Payload))
 				copy(buf, seg.Payload)
-				c.ooo[seq] = buf
+				c.ooo = slices.Insert(c.ooo, i, oooChunk{seq: seq, buf: buf})
 				c.oooBytes += len(buf)
 			}
 		}
@@ -71,6 +77,12 @@ func (c *Conn) deliverInOrder(p []byte) {
 	}
 }
 
+// oooChunk is one buffered out-of-order segment payload.
+type oooChunk struct {
+	seq uint64
+	buf []byte
+}
+
 // drainOutOfOrder delivers any buffered segments now contiguous with
 // rcvNxt. Segment boundaries can shift across go-back-N retransmissions,
 // so partial overlaps are trimmed rather than assumed away.
@@ -79,27 +91,19 @@ func (c *Conn) drainOutOfOrder() {
 	// the same in any order, but the per-call granularity of onData is not:
 	// when overlapping chunks become contiguous together, whichever is
 	// applied first decides how the tail is split, the application layer
-	// flushes per call, and TCP segment boundaries shift — so map iteration
-	// order here would break same-seed byte-identity across runs.
-	for len(c.ooo) > 0 {
-		var low uint64
-		found := false
-		for seq := range c.ooo {
-			if !found || seq < low {
-				low, found = seq, true
-			}
-		}
-		if low > c.rcvNxt {
-			return // hole before the lowest chunk: nothing contiguous
-		}
-		buf := c.ooo[low]
-		delete(c.ooo, low)
-		c.oooBytes -= len(buf)
-		if end := low + uint64(len(buf)); end > c.rcvNxt {
+	// flushes per call, and TCP segment boundaries shift — so the buffer
+	// is kept sorted by seq rather than drained in map iteration order,
+	// which would break same-seed byte-identity across runs.
+	n := 0
+	for ; n < len(c.ooo) && c.ooo[n].seq <= c.rcvNxt; n++ {
+		ch := c.ooo[n]
+		c.oooBytes -= len(ch.buf)
+		if end := ch.seq + uint64(len(ch.buf)); end > c.rcvNxt {
 			// Contiguous (possibly overlapping the front): deliver the tail.
-			c.deliverInOrder(buf[c.rcvNxt-low:])
+			c.deliverInOrder(ch.buf[c.rcvNxt-ch.seq:])
 		}
 		// onData consumers copy synchronously, so the chunk can go home.
-		c.arena.Put(buf)
+		c.arena.Put(ch.buf)
 	}
+	c.ooo = slices.Delete(c.ooo, 0, n)
 }

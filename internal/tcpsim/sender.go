@@ -38,10 +38,11 @@ func (c *Conn) trySend() {
 		if c.finSent {
 			break // nothing may follow a FIN
 		}
-		if offset >= len(c.sendBuf) {
+		unacked := c.sendBuf[c.sendOff:]
+		if offset >= len(unacked) {
 			break
 		}
-		n := len(c.sendBuf) - offset
+		n := len(unacked) - offset
 		if n > c.cfg.MSS {
 			n = c.cfg.MSS
 		}
@@ -52,7 +53,7 @@ func (c *Conn) trySend() {
 			break
 		}
 		payload := c.arena.Bytes(n)
-		copy(payload, c.sendBuf[offset:offset+n])
+		copy(payload, unacked[offset:offset+n])
 		seg := c.makeSeg(FlagACK, c.sndNxt, c.rcvNxt, c.advertisedWindow(), payload, false)
 		if seg.Seq < c.maxSndNxt {
 			seg.Retransmit = true
@@ -75,7 +76,7 @@ func (c *Conn) trySend() {
 		c.armRTO()
 	}
 	// Send the FIN once the buffer is fully transmitted.
-	if c.finQueued && !c.finSent && int(c.sndNxt-c.sndUna) == len(c.sendBuf) {
+	if c.finQueued && !c.finSent && int(c.sndNxt-c.sndUna) == c.Buffered() {
 		c.finSeq = c.sndNxt
 		c.finSent = true
 		c.sndNxt++
@@ -126,10 +127,14 @@ func (c *Conn) processAck(seg *Segment) {
 			dataAcked--
 			c.finAcked = true
 		}
-		if dataAcked > len(c.sendBuf) {
-			dataAcked = len(c.sendBuf)
+		if buffered := c.Buffered(); dataAcked > buffered {
+			dataAcked = buffered
 		}
-		c.sendBuf = c.sendBuf[dataAcked:]
+		c.sendOff += dataAcked
+		if c.sendOff == len(c.sendBuf) {
+			c.sendBuf = c.sendBuf[:0]
+			c.sendOff = 0
+		}
 		c.sndUna = ack
 		c.retries = 0
 		c.dupAcks = 0
@@ -284,7 +289,7 @@ func (c *Conn) retransmitFirstUnacked() {
 		c.armRTOReset()
 		return
 	}
-	n := len(c.sendBuf)
+	n := c.Buffered()
 	if n == 0 {
 		return
 	}
@@ -292,7 +297,7 @@ func (c *Conn) retransmitFirstUnacked() {
 		n = c.cfg.MSS
 	}
 	payload := c.arena.Bytes(n)
-	copy(payload, c.sendBuf[:n])
+	copy(payload, c.sendBuf[c.sendOff:c.sendOff+n])
 	c.stats.SegmentsSent++
 	c.transmit(c.makeSeg(FlagACK, c.sndUna, c.rcvNxt, c.advertisedWindow(), payload, true))
 	c.armRTOReset()

@@ -69,12 +69,13 @@ func TestStaleAckAfterRTORewindIsAccepted(t *testing.T) {
 // 40-byte call or a 10+30 split depending on the run.
 func TestDrainOutOfOrderDeterministic(t *testing.T) {
 	for i := 0; i < 200; i++ {
-		c := &Conn{ooo: make(map[uint64][]byte)}
+		c := &Conn{}
 		var calls []int
 		c.onData = func(p []byte) { calls = append(calls, len(p)) }
-		c.ooo[150] = make([]byte, 100) // [150,250)
-		c.ooo[200] = make([]byte, 20)  // [200,220), nested in the above
-		c.oooBytes = 120
+		bufferChunks(c, map[uint64][]byte{
+			150: make([]byte, 100), // [150,250)
+			200: make([]byte, 20),  // [200,220), nested in the above
+		})
 		c.rcvNxt = 210 // an in-order fill just advanced past both starts
 		c.drainOutOfOrder()
 		if len(calls) != 1 || calls[0] != 40 {
