@@ -132,14 +132,16 @@ func BenchmarkFrameCodecData(b *testing.B) {
 	}
 }
 
-func BenchmarkTLSRecordSeal(b *testing.B) {
+// benchTLSRecord seals and opens one record of size bytes per iteration
+// over an established in-memory pair.
+func benchTLSRecord(b *testing.B, size int) {
 	var cr, sr [32]byte
 	var client *tlsrec.Conn
 	server := tlsrec.NewConn(false, sr, func(p []byte) { _ = client.Feed(p) })
 	client = tlsrec.NewConn(true, cr, func(p []byte) { _ = server.Feed(p) })
 	server.OnRecord(func(tlsrec.ContentType, []byte) {})
 	client.Start()
-	payload := make([]byte, 1200)
+	payload := make([]byte, size)
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -148,6 +150,10 @@ func BenchmarkTLSRecordSeal(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkTLSRecordSeal(b *testing.B) { benchTLSRecord(b, 1200) }
+
+func BenchmarkTLSRecordMax(b *testing.B) { benchTLSRecord(b, tlsrec.MaxPlaintext) }
 
 func BenchmarkDegreeOfMultiplexing(b *testing.B) {
 	var spans []metrics.TxSpan

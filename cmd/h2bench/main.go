@@ -90,7 +90,7 @@ func run() int {
 		if f.Kind == experiment.FailTimeout {
 			cmd += fmt.Sprintf(" -step-budget %d", sf.StepBudget)
 		}
-		return fmt.Sprintf("%s <experiment-id>  # failed trial: seed %d, flat index %d", cmd, f.Seed, f.Trial)
+		return fmt.Sprintf("%s %s  # failed trial: seed %d, flat index %d", cmd, f.Experiment, f.Seed, f.Trial)
 	})
 	rec := cf.NewRecorder()
 	if rec != nil {
@@ -99,7 +99,7 @@ func run() int {
 		// with checks armed rather than guessing the variant arm.
 		repro := fmt.Sprintf("go run ./cmd/h2bench -check -trials %d -seed %d", *trials, *seed)
 		rec.SetRepro(func(v check.Violation) string {
-			return fmt.Sprintf("%s <experiment-id>  # violating trial: seed %d, flat index %d", repro, v.TrialSeed, v.TrialIndex)
+			return fmt.Sprintf("%s %s  # violating trial: seed %d, flat index %d", repro, v.Experiment, v.TrialSeed, v.TrialIndex)
 		})
 		opts.Check = rec
 	}

@@ -56,6 +56,7 @@ const maxPerTrial = 32
 type Checker struct {
 	seed  int64
 	trial int
+	exp   string
 	rec   *Recorder
 	clock func() time.Duration
 	mu    *sync.Mutex // non-nil only in Concurrent mode (wall-clock servers)
@@ -164,6 +165,16 @@ func New(seed int64, trial int, rec *Recorder) *Checker {
 	}
 }
 
+// SetExperiment stamps every violation this checker records with the id
+// of the experiment that owns the trial, so report-time repro commands can
+// name it. Safe on nil.
+func (c *Checker) SetExperiment(id string) {
+	if c == nil {
+		return
+	}
+	c.exp = id
+}
+
 // Enabled reports whether the checker is armed. Safe on nil.
 func (c *Checker) Enabled() bool { return c != nil }
 
@@ -213,6 +224,7 @@ func (c *Checker) violate(layer, rule, format string, args ...any) {
 		return
 	}
 	c.violations = append(c.violations, Violation{
+		Experiment: c.exp,
 		Layer:      layer,
 		Rule:       rule,
 		Detail:     fmt.Sprintf(format, args...),

@@ -12,6 +12,7 @@ import (
 // Violation is one invariant failure, stamped with enough context to
 // reproduce the trial that produced it.
 type Violation struct {
+	Experiment string        // owning experiment id when run under a sweep harness, else ""
 	Layer      string        // subsystem the rule guards: tcpsim, h2, hpack, netsim, simtime, capture
 	Rule       string        // stable rule identifier, e.g. "ignored-ack"
 	Detail     string        // human-readable specifics, built only on failure

@@ -144,6 +144,10 @@ type Options struct {
 	// recovers from; such a hook must be safe for concurrent use by sweep
 	// workers (the cmds' -chaos hook is a pure map lookup).
 	ChaosTrial func(flat int) core.ChaosMode
+	// Experiment is the id of the experiment being run. Runners obtained
+	// through Lookup or RunAll set it; the supervisor stamps it on check
+	// violations and quarantined failures so repro commands name it.
+	Experiment string
 }
 
 func (o Options) withDefaults() Options {
@@ -268,7 +272,10 @@ func IDs() []string {
 func Lookup(id string) (Runner, bool) {
 	for _, e := range registry {
 		if e.id == id {
-			return e.runner, true
+			return func(o Options) (*Report, error) {
+				o.Experiment = id
+				return e.runner(o)
+			}, true
 		}
 	}
 	return nil, false
@@ -286,6 +293,7 @@ func RunAll(opts Options, w io.Writer) error {
 	for _, e := range registry {
 		opts.Progress.Start(e.id, PlannedTrials(e.id, opts))
 		opts.Perf.BeginExperiment(e.id)
+		opts.Experiment = e.id
 		rep, err := e.runner(opts)
 		if err != nil {
 			return fmt.Errorf("experiment %s: %w", e.id, err)

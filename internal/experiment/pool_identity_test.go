@@ -79,6 +79,19 @@ func TestPoisonedPoolPreservesOutput(t *testing.T) {
 	if !bytes.Equal(plain, poisoned) {
 		t.Fatalf("poisoned pooled sweep diverged — a consumer is holding a recycled buffer:\n--- no-pool ---\n%s\n--- poisoned ---\n%s", plain, poisoned)
 	}
+	// Response bodies are slices of one shared read-only pattern; a
+	// consumer writing into one (or the arena recycling one) would corrupt
+	// every later trial's bodies.
+	site := website.ISideWith()
+	for i := range site.Objects {
+		o := &site.Objects[i]
+		body := site.Body(o)
+		for j, b := range body {
+			if want := byte(len(o.ID)) + byte(j*131); b != want {
+				t.Fatalf("shared body of %s corrupted after poisoned sweep: byte %d = %#x, want %#x", o.ID, j, b, want)
+			}
+		}
+	}
 }
 
 // TestPooledSweepCheckClean runs the invariant checker over poisoned

@@ -74,11 +74,14 @@ const (
 // implements error, so the fail-fast path (no Quarantine armed) returns
 // it through the sweep's lowest-index-error-wins machinery.
 type TrialFailure struct {
-	Trial    int         `json:"trial"`
-	Seed     int64       `json:"seed"`
-	Kind     FailureKind `json:"kind"`
-	Attempts int         `json:"attempts"`
-	Err      string      `json:"error"`
+	// Experiment is the owning experiment's id (Options.Experiment), empty
+	// for sweeps run outside the experiment registry.
+	Experiment string      `json:"experiment,omitempty"`
+	Trial      int         `json:"trial"`
+	Seed       int64       `json:"seed"`
+	Kind       FailureKind `json:"kind"`
+	Attempts   int         `json:"attempts"`
+	Err        string      `json:"error"`
 	// Repro is the standalone command that replays this exact failure;
 	// stamped by the Quarantine collector's formatter (Quarantine.SetRepro,
 	// installed by the cmds the way check.Recorder.SetRepro is).
@@ -281,6 +284,7 @@ func (o Options) superviseTrial(flat int, cfg core.TrialConfig) (*core.TrialResu
 		}
 		if o.Check != nil && acfg.Check == nil {
 			acfg.Check = check.New(cfg.Seed, flat, o.Check)
+			acfg.Check.SetExperiment(o.Experiment)
 		}
 		if o.Features != nil && acfg.Flows == nil {
 			acfg.Flows = flowseq.New(flat, o.Features)
@@ -295,6 +299,7 @@ func (o Options) superviseTrial(flat int, cfg core.TrialConfig) (*core.TrialResu
 		last = fail
 	}
 	last.Attempts = attempts
+	last.Experiment = o.Experiment
 	if o.Quarantine == nil {
 		// Fail-fast mode: the structured failure feeds the engine's
 		// lowest-index-error-wins machinery, exactly like a plain error

@@ -1,6 +1,9 @@
 package tlsrec
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Handshake message types.
 const (
@@ -20,9 +23,7 @@ type Conn struct {
 
 	localRandom [32]byte
 	peerRandom  [32]byte
-	key         [32]byte
-	sendSeq     uint64
-	recvSeq     uint64
+	send, recv  halfConn // keyed at establish, one key per direction
 
 	buf    []byte // transport bytes; [off:] is still unparsed
 	off    int    // parsed prefix of buf, reclaimed on the next Feed
@@ -33,8 +34,6 @@ type Conn struct {
 	// sim's tcp.Write, h2sync's outQueue, and the h1/h2 Feed parsers all
 	// append into their own buffers).
 	sealBuf []byte // sealed record body handed to output
-	padBuf  []byte // keystream pad
-	macBuf  []byte // MAC concatenation scratch
 	ptBuf   []byte // decrypted plaintext handed to onRecord
 
 	onRecord      func(ContentType, []byte)
@@ -97,22 +96,18 @@ func (c *Conn) Send(ct ContentType, plaintext []byte) error {
 // seal encrypts one record and emits it. The emitted slice is scratch
 // reused by the next seal; output consumers copy what they keep.
 func (c *Conn) seal(ct ContentType, plaintext []byte) {
-	seq := c.sendSeq
-	c.sendSeq++
+	seq := c.send.seq
+	c.send.seq++
 	total := HeaderSize + 8 + len(plaintext) + TagSize
 	if cap(c.sealBuf) < total {
 		c.sealBuf = make([]byte, total)
 	}
 	body := c.sealBuf[:total]
 	putHeader(body, ct, 8+len(plaintext)+TagSize)
-	putUint64(body[HeaderSize:], seq)
-	ciphertext := body[HeaderSize+8 : HeaderSize+8+len(plaintext)]
-	copy(ciphertext, plaintext)
-	c.padBuf = keystreamInto(c.padBuf, c.key, seq, len(plaintext))
-	xorInto(ciphertext, c.padBuf)
-	var tag [TagSize]byte
-	tag, c.macBuf = macInto(c.macBuf, c.key, seq, ct, ciphertext)
-	copy(body[HeaderSize+8+len(plaintext):], tag[:])
+	binary.BigEndian.PutUint64(body[HeaderSize:], seq)
+	sealed := body[HeaderSize+8:]
+	copy(sealed, plaintext)
+	c.send.seal(seq, ct, sealed, len(plaintext))
 	c.output(body)
 }
 
@@ -169,27 +164,19 @@ func (c *Conn) processRecord(ct ContentType, body []byte) error {
 	if len(body) < 8+TagSize {
 		return fmt.Errorf("tlsrec: sealed record too short (%d bytes)", len(body))
 	}
-	seq := getUint64(body)
-	ciphertext := body[8 : len(body)-TagSize]
-	var wantTag [TagSize]byte
-	wantTag, c.macBuf = macInto(c.macBuf, c.key, seq, ct, ciphertext)
-	gotTag := body[len(body)-TagSize:]
-	for i := range wantTag {
-		if wantTag[i] != gotTag[i] {
-			return ErrBadMAC
-		}
+	seq := binary.BigEndian.Uint64(body)
+	sealed := body[8:]
+	if n := len(sealed) - TagSize; cap(c.ptBuf) < n {
+		c.ptBuf = make([]byte, n)
 	}
-	if seq != c.recvSeq {
-		return fmt.Errorf("tlsrec: record sequence %d, want %d (transport reordered or lost data)", seq, c.recvSeq)
+	plaintext, err := c.recv.open(c.ptBuf, seq, ct, sealed)
+	if err != nil {
+		return err
 	}
-	c.recvSeq++
-	if cap(c.ptBuf) < len(ciphertext) {
-		c.ptBuf = make([]byte, len(ciphertext))
+	if seq != c.recv.seq {
+		return fmt.Errorf("tlsrec: record sequence %d, want %d (transport reordered or lost data)", seq, c.recv.seq)
 	}
-	plaintext := c.ptBuf[:len(ciphertext)]
-	copy(plaintext, ciphertext)
-	c.padBuf = keystreamInto(c.padBuf, c.key, seq, len(plaintext))
-	xorInto(plaintext, c.padBuf)
+	c.recv.seq++
 	if c.onRecord != nil {
 		c.onRecord(ct, plaintext)
 	}
@@ -215,11 +202,14 @@ func (c *Conn) processHandshake(body []byte) error {
 }
 
 func (c *Conn) establish() {
-	if c.isClient {
-		c.key = deriveKey(c.localRandom, c.peerRandom)
-	} else {
-		c.key = deriveKey(c.peerRandom, c.localRandom)
+	cr, sr := c.localRandom, c.peerRandom
+	sendLabel, recvLabel := labelClientWrite, labelServerWrite
+	if !c.isClient {
+		cr, sr = sr, cr
+		sendLabel, recvLabel = recvLabel, sendLabel
 	}
+	c.send.init(sendLabel, cr, sr)
+	c.recv.init(recvLabel, cr, sr)
 	c.established = true
 	if c.onEstablished != nil {
 		c.onEstablished()
@@ -232,19 +222,4 @@ func (c *Conn) sendHandshake(msg byte) {
 	body[HeaderSize] = msg
 	copy(body[HeaderSize+1:], c.localRandom[:])
 	c.output(body)
-}
-
-func putUint64(dst []byte, v uint64) {
-	for i := 7; i >= 0; i-- {
-		dst[i] = byte(v)
-		v >>= 8
-	}
-}
-
-func getUint64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
 }

@@ -295,3 +295,145 @@ func TestAlertContentTypePasses(t *testing.T) {
 		t.Fatalf("content type = %v", gotCT)
 	}
 }
+
+// establishedPair returns a handshaken client and server whose outputs are
+// captured (copied) into the returned slices instead of being delivered,
+// so a test can tamper with, reorder or misroute records.
+func establishedPair(t testing.TB) (client, server *Conn, toServer, toClient *[][]byte) {
+	t.Helper()
+	var c2s, s2c [][]byte
+	var cr, sr [32]byte
+	for i := range cr {
+		cr[i] = byte(i)
+		sr[i] = byte(i * 3)
+	}
+	client = NewConn(true, cr, func(b []byte) { c2s = append(c2s, append([]byte(nil), b...)) })
+	server = NewConn(false, sr, func(b []byte) { s2c = append(s2c, append([]byte(nil), b...)) })
+	client.Start()
+	if err := server.Feed(c2s[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Feed(s2c[0]); err != nil {
+		t.Fatal(err)
+	}
+	if !client.Established() || !server.Established() {
+		t.Fatal("handshake did not complete")
+	}
+	c2s, s2c = nil, nil
+	return client, server, &c2s, &s2c
+}
+
+func TestContentTypeBoundByTag(t *testing.T) {
+	// The header's content type is in the clear but bound into the
+	// additional data: relabelling application data as an alert must
+	// fail authentication.
+	client, server, toServer, _ := establishedPair(t)
+	if err := client.Send(ContentApplicationData, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	rec := (*toServer)[0]
+	rec[0] = byte(ContentAlert)
+	if err := server.Feed(rec); !errors.Is(err, ErrBadMAC) {
+		t.Fatalf("err = %v, want ErrBadMAC", err)
+	}
+}
+
+func TestDirectionsUseDistinctKeys(t *testing.T) {
+	// The same sequence number and plaintext must seal differently in the
+	// two directions; a shared key would be a two-time pad.
+	client, server, toServer, toClient := establishedPair(t)
+	msg := []byte("identical plaintext in both directions")
+	if err := client.Send(ContentApplicationData, msg); err != nil {
+		t.Fatal(err)
+	}
+	if err := server.Send(ContentApplicationData, msg); err != nil {
+		t.Fatal(err)
+	}
+	c2s, s2c := (*toServer)[0], (*toClient)[0]
+	if !bytes.Equal(c2s[:HeaderSize+8], s2c[:HeaderSize+8]) {
+		t.Fatal("header or explicit sequence number differ; test premise broken")
+	}
+	ct := HeaderSize + 8
+	if bytes.Equal(c2s[ct:ct+len(msg)], s2c[ct:ct+len(msg)]) {
+		t.Fatal("client→server and server→client ciphertexts are identical: the directions share a keystream")
+	}
+}
+
+func TestReflectedRecordRejected(t *testing.T) {
+	// A record fed back into its own sender must not authenticate: the
+	// sender opens with the peer's write key.
+	client, _, toServer, _ := establishedPair(t)
+	if err := client.Send(ContentApplicationData, []byte("echo")); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Feed((*toServer)[0]); !errors.Is(err, ErrBadMAC) {
+		t.Fatalf("err = %v, want ErrBadMAC", err)
+	}
+}
+
+func TestReorderedRecordRejected(t *testing.T) {
+	// Authentic records delivered out of order pass the tag check but
+	// fail the sequence check.
+	client, server, toServer, _ := establishedPair(t)
+	for _, m := range []string{"first", "second"} {
+		if err := client.Send(ContentApplicationData, []byte(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := server.Feed((*toServer)[1])
+	if err == nil || errors.Is(err, ErrBadMAC) {
+		t.Fatalf("err = %v, want a sequence error", err)
+	}
+}
+
+func TestSteadySendFeedZeroAllocs(t *testing.T) {
+	client, server := pipePair()
+	var got int
+	server.OnRecord(func(_ ContentType, p []byte) { got += len(p) })
+	client.Start()
+	payload := make([]byte, 1200)
+	// Warm the scratch buffers to their steady-state size.
+	if err := client.Send(ContentApplicationData, payload); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := client.Send(ContentApplicationData, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady Send+Feed allocates %.1f times per record, want 0", allocs)
+	}
+	if got != 202*len(payload) {
+		t.Fatalf("server received %d bytes, want %d", got, 202*len(payload))
+	}
+}
+
+// FuzzRecordFeed pushes arbitrary bytes into an established Conn: any
+// input may be rejected, none may panic, and a poisoned Conn stays
+// poisoned.
+func FuzzRecordFeed(f *testing.F) {
+	client, _, toServer, _ := establishedPair(f)
+	for _, p := range [][]byte{nil, []byte("x"), make([]byte, 300)} {
+		if err := client.Send(ContentApplicationData, p); err != nil && len(p) > 0 {
+			f.Fatal(err)
+		}
+	}
+	for _, rec := range *toServer {
+		f.Add(rec)
+	}
+	f.Add([]byte{byte(ContentApplicationData), 3, 3, 0, 24})
+	f.Add([]byte{byte(ContentHandshake), 3, 3, 0, 33, msgServerHello})
+	f.Add([]byte{byte(ContentApplicationData), 3, 3, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, server, _, _ := establishedPair(t)
+		server.OnRecord(func(ContentType, []byte) {})
+		// Split the input in two to exercise reassembly across Feeds.
+		mid := len(data) / 2
+		err1 := server.Feed(data[:mid])
+		err2 := server.Feed(data[mid:])
+		if err1 != nil && err2 == nil {
+			t.Fatalf("poisoned Conn accepted more data after %v", err1)
+		}
+	})
+}

@@ -1,73 +1,73 @@
 package tlsrec
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/sha256"
 	"encoding/binary"
 )
 
-// keystream generates the toy XOR pad for one record from the session key
-// and the record's sequence number: block i is SHA-256(key ‖ seq ‖ i).
-// Deterministic, self-consistent, size-preserving — and worthless as real
-// cryptography, which is fine: the threat model here is an adversary who
-// never decrypts.
-func keystream(key [32]byte, seq uint64, n int) []byte {
-	return keystreamInto(make([]byte, 0, n+sha256.Size), key, seq, n)
+// Key-derivation labels, one per write direction, so the two directions
+// never share a (key, nonce) pair.
+const (
+	labelClientWrite = "h2privacy client write"
+	labelServerWrite = "h2privacy server write"
+)
+
+// halfConn is one direction's record protection: AES-128-GCM with a
+// 4-byte implicit salt, and the sequence number carried on the wire as
+// the 8-byte explicit nonce (TLS 1.2's GCM construction, RFC 5288). The
+// nonce and additional-data arrays live here rather than on the stack
+// because slices of locals escape through the cipher.AEAD interface and
+// would cost an allocation each per record.
+type halfConn struct {
+	aead  cipher.AEAD
+	seq   uint64
+	nonce [12]byte // salt ‖ explicit sequence number
+	ad    [13]byte // seq ‖ content type ‖ version ‖ plaintext length
 }
 
-// keystreamInto writes the pad into buf (grown as needed) and returns it,
-// letting a Conn reuse one scratch buffer across records.
-func keystreamInto(buf []byte, key [32]byte, seq uint64, n int) []byte {
-	out := buf[:0]
-	var block [8 + 8 + 32]byte
-	copy(block[16:], key[:])
-	binary.BigEndian.PutUint64(block[:8], seq)
-	for i := uint64(0); len(out) < n; i++ {
-		binary.BigEndian.PutUint64(block[8:16], i)
-		sum := sha256.Sum256(block[:])
-		out = append(out, sum[:]...)
+// init keys the direction from SHA-256(label ‖ client random ‖ server
+// random): bytes [0,16) are the AES-128 key, [16,20) the implicit salt.
+func (h *halfConn) init(label string, clientRandom, serverRandom [32]byte) {
+	in := make([]byte, 0, len(label)+64)
+	in = append(in, label...)
+	in = append(in, clientRandom[:]...)
+	in = append(in, serverRandom[:]...)
+	sum := sha256.Sum256(in)
+	block, err := aes.NewCipher(sum[:16])
+	if err != nil {
+		panic(err) // unreachable: the key is always 16 bytes
 	}
-	return out[:n]
-}
-
-// xorInto XORs pad into dst in place.
-func xorInto(dst, pad []byte) {
-	for i := range dst {
-		dst[i] ^= pad[i]
+	h.aead, err = cipher.NewGCM(block)
+	if err != nil {
+		panic(err) // unreachable: standard nonce and tag sizes
 	}
+	copy(h.nonce[:4], sum[16:20])
 }
 
-// mac computes the truncated record MAC over (key, seq, content type,
-// ciphertext).
-func mac(key [32]byte, seq uint64, ct ContentType, ciphertext []byte) [TagSize]byte {
-	tag, _ := macInto(nil, key, seq, ct, ciphertext)
-	return tag
+// prepare fills the nonce and additional data for record seq.
+func (h *halfConn) prepare(seq uint64, ct ContentType, n int) {
+	binary.BigEndian.PutUint64(h.nonce[4:], seq)
+	binary.BigEndian.PutUint64(h.ad[:8], seq)
+	h.ad[8] = byte(ct)
+	binary.BigEndian.PutUint16(h.ad[9:11], version)
+	binary.BigEndian.PutUint16(h.ad[11:13], uint16(n))
 }
 
-// macInto is mac with a caller-owned scratch buffer: it assembles the exact
-// byte stream mac hashes — key ‖ seq ‖ content type ‖ ciphertext — in
-// scratch and digests it with the stack-based sha256.Sum256, avoiding the
-// streaming API's hash-state and Sum allocations. Returns the tag and the
-// (possibly grown) scratch for reuse.
-func macInto(scratch []byte, key [32]byte, seq uint64, ct ContentType, ciphertext []byte) ([TagSize]byte, []byte) {
-	scratch = append(scratch[:0], key[:]...)
-	var hdr [9]byte
-	binary.BigEndian.PutUint64(hdr[:8], seq)
-	hdr[8] = byte(ct)
-	scratch = append(scratch, hdr[:]...)
-	scratch = append(scratch, ciphertext...)
-	sum := sha256.Sum256(scratch)
-	var tag [TagSize]byte
-	copy(tag[:], sum[:])
-	return tag, scratch
+// seal encrypts buf[:n] in place and writes the tag to buf[n:n+TagSize].
+func (h *halfConn) seal(seq uint64, ct ContentType, buf []byte, n int) {
+	h.prepare(seq, ct, n)
+	h.aead.Seal(buf[:0], h.nonce[:], buf[:n], h.ad[:])
 }
 
-// deriveKey combines the two hello randoms into the session key.
-func deriveKey(clientRandom, serverRandom [32]byte) [32]byte {
-	h := sha256.New()
-	h.Write([]byte("h2privacy toy key derivation"))
-	h.Write(clientRandom[:])
-	h.Write(serverRandom[:])
-	var key [32]byte
-	copy(key[:], h.Sum(nil))
-	return key
+// open authenticates and decrypts sealed (ciphertext ‖ tag) into dst[:0],
+// returning the plaintext or ErrBadMAC.
+func (h *halfConn) open(dst []byte, seq uint64, ct ContentType, sealed []byte) ([]byte, error) {
+	h.prepare(seq, ct, len(sealed)-TagSize)
+	pt, err := h.aead.Open(dst[:0], h.nonce[:], sealed, h.ad[:])
+	if err != nil {
+		return nil, ErrBadMAC
+	}
+	return pt, nil
 }

@@ -1,16 +1,19 @@
 // Package tlsrec implements a TLS-like record layer: framing, a 1-RTT
 // handshake, and size-faithful sealing of application data.
 //
-// It is NOT cryptographically secure and must never protect real traffic:
-// the keystream is a toy XOR cipher and the handshake exchanges its inputs
-// in the clear. What it *is* faithful to — and all the paper's adversary
-// ever uses — is the on-the-wire shape of TLS 1.2: a 5-byte plaintext
-// record header carrying the content type (the attack filters on
-// `ssl.record.content_type==23`, §IV-D) and a length, a constant 24-byte
-// per-record overhead (8-byte explicit nonce + 16-byte tag, as in
-// AES-GCM), and opaque payload bytes. Record integrity IS verified (a
-// truncated SHA-256 MAC), which doubles as an end-to-end corruption check
-// on the simulated transport beneath it.
+// Records are sealed with AES-128-GCM exactly as TLS 1.2 does it (RFC
+// 5288): a per-direction key and 4-byte implicit salt, the sequence number
+// sent as the 8-byte explicit nonce, and the sequence number, content type,
+// version and plaintext length bound as additional data. The handshake is
+// NOT secure and must never protect real traffic: it exchanges the key
+// inputs (two hello randoms) in the clear. What the package is faithful to
+// — and all the paper's adversary ever uses — is the on-the-wire shape of
+// TLS 1.2: a 5-byte plaintext record header carrying the content type (the
+// attack filters on `ssl.record.content_type==23`, §IV-D) and a length, a
+// constant 24-byte per-record overhead (8-byte explicit nonce + 16-byte
+// tag), and opaque payload bytes. Every record is authenticated, which
+// doubles as an end-to-end corruption check on the simulated transport
+// beneath it.
 package tlsrec
 
 import (
@@ -50,7 +53,7 @@ const (
 	// SealOverhead is the per-record ciphertext expansion: an 8-byte
 	// explicit sequence number plus a 16-byte authentication tag.
 	SealOverhead = 8 + TagSize
-	// TagSize is the truncated-MAC length.
+	// TagSize is the GCM authentication tag length.
 	TagSize = 16
 	// MaxPlaintext is the largest plaintext a single record may carry
 	// (TLS's 2^14).

@@ -234,15 +234,36 @@ func (s *Site) Lookup(path string) *Object { return s.byPath[path] }
 // page); the paper's site embeds 47.
 func (s *Site) EmbeddedCount() int { return len(s.Objects) - 1 }
 
-// Body generates the deterministic response body for an object.
+// Body returns the deterministic response body for an object: byte i is
+// byte(len(o.ID)) + byte(i*131). The slice is shared and READ-ONLY —
+// callers must copy before modifying (every consumer does: h2 DATA frames
+// and h1 responses copy into their own buffers). Its capacity equals its
+// length, so an append can never write into the shared storage.
 func (s *Site) Body(o *Object) []byte {
-	b := make([]byte, o.Size)
 	seed := byte(len(o.ID))
+	if o.Size <= len(bodyPattern)-255 {
+		// byte(i*131) has period 256 and 131 is odd, so shifting the
+		// pattern by k, where k·131 ≡ seed (mod 256), adds seed to every
+		// byte. 43 is 131's inverse mod 256.
+		k := int(seed * 43)
+		return bodyPattern[k : k+o.Size : k+o.Size]
+	}
+	b := make([]byte, o.Size)
 	for i := range b {
 		b[i] = seed + byte(i*131)
 	}
 	return b
 }
+
+// bodyPattern backs every body up to 128 KiB (all catalog objects); only
+// larger custom objects allocate.
+var bodyPattern = func() []byte {
+	b := make([]byte, 128<<10+255)
+	for i := range b {
+		b[i] = byte(i * 131)
+	}
+	return b
+}()
 
 // Sizes maps every object id to its body size.
 func (s *Site) Sizes() map[string]int {

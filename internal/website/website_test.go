@@ -1,6 +1,8 @@
 package website
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -241,6 +243,46 @@ func TestPlanForShuffledPreservesNonEmblems(t *testing.T) {
 		}
 		if base.Steps[i] != shuf.Steps[i] {
 			t.Fatalf("non-emblem step %d changed: %+v vs %+v", i, base.Steps[i], shuf.Steps[i])
+		}
+	}
+}
+
+// bodyFormula is Body's contract, computed the slow way.
+func bodyFormula(o *Object) []byte {
+	b := make([]byte, o.Size)
+	for i := range b {
+		b[i] = byte(len(o.ID)) + byte(i*131)
+	}
+	return b
+}
+
+func TestBodyMatchesFormula(t *testing.T) {
+	check := func(s *Site, o *Object) {
+		t.Helper()
+		got := s.Body(o)
+		if !bytes.Equal(got, bodyFormula(o)) {
+			t.Fatalf("%s/%s: body differs from the formula", s.Host, o.ID)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("%s/%s: cap %d != len %d; an append could write into shared storage",
+				s.Host, o.ID, cap(got), len(got))
+		}
+	}
+	// Every seed (ID length mod 256), at sizes straddling the shared
+	// pattern's limit so both the shared and the allocating path run.
+	s := ISideWith()
+	for seed := 0; seed < 256; seed++ {
+		for _, size := range []int{0, 1, 255, 256, 9500, len(bodyPattern) - 255, len(bodyPattern) - 254, len(bodyPattern) + 1000} {
+			check(s, &Object{ID: strings.Repeat("x", seed), Size: size})
+		}
+	}
+	for i := range s.Objects {
+		check(s, &s.Objects[i])
+	}
+	for idx := 0; idx < 1000; idx++ {
+		d := DecoySite(idx)
+		for i := range d.Objects {
+			check(d, &d.Objects[i])
 		}
 	}
 }
