@@ -134,8 +134,8 @@ type fetch struct {
 	doneAt    time.Duration
 	retries   int
 	streams   map[uint32]int // stream id → bytes received on it
-	retryEv   *simtime.Event
-	triggered []int // plan step indices waiting on this object's completion
+	retry     simtime.Timer  // duplicate-GET timer (see armRetry)
+	triggered []int          // plan step indices waiting on this object's completion
 	// deadlineFrom anchors the completion deadline: the fetch must finish
 	// within the browser's (backed-off) patience of this instant or the
 	// reset cycle fires.
@@ -175,7 +175,7 @@ type Browser struct {
 	lastProgress time.Duration
 	resetWait    time.Duration
 	retryWait    time.Duration
-	stallEv      *simtime.Event
+	stall        simtime.Timer // §IV-D stall detector (see armStallCheck)
 	finished     bool
 
 	tr *trace.Tracer
@@ -199,6 +199,7 @@ func NewBrowser(sched *simtime.Scheduler, rng *simtime.Rand, tcp *tcpsim.Conn, s
 	}
 	b.resetWait = b.cfg.ResetTimeout
 	b.retryWait = b.cfg.RetryTimeout
+	b.stall.Init(sched, b.onStallCheck)
 	b.tr = b.cfg.Tracer
 	b.fl = b.cfg.Flows
 	st, err := newStack(tcp, true, rng, b.cfg.H2, func(err error) { b.break_(err.Error()) })
@@ -272,15 +273,9 @@ func (b *Browser) break_(reason string) {
 }
 
 func (b *Browser) cancelTimers() {
-	if b.stallEv != nil {
-		b.sched.Cancel(b.stallEv)
-		b.stallEv = nil
-	}
+	b.stall.Stop()
 	for _, f := range b.fetches {
-		if f.retryEv != nil {
-			b.sched.Cancel(f.retryEv)
-			f.retryEv = nil
-		}
+		f.retry.Stop()
 	}
 }
 
@@ -323,6 +318,7 @@ func (b *Browser) ensureFetch(objectID string) *fetch {
 		panic("endpoint: plan references unknown object " + objectID)
 	}
 	f := &fetch{obj: obj, streams: make(map[uint32]int)}
+	f.retry.Init(b.sched, func() { b.onRetry(f) })
 	b.fetches[objectID] = f
 	return f
 }
@@ -369,21 +365,20 @@ func (b *Browser) request(f *fetch, kind RequestKind) {
 
 // armRetry schedules the duplicate-GET timer for a not-yet-started fetch.
 func (b *Browser) armRetry(f *fetch) {
-	if f.retryEv != nil {
-		b.sched.Cancel(f.retryEv)
+	f.retry.Reset(b.sched.Now() + b.retryWait)
+}
+
+// onRetry re-issues a fetch whose response has not started in time.
+func (b *Browser) onRetry(f *fetch) {
+	if f.done || f.started || b.result.Broken {
+		return
 	}
-	f.retryEv = b.sched.After(b.retryWait, func() {
-		f.retryEv = nil
-		if f.done || f.started || b.result.Broken {
-			return
-		}
-		if f.retries >= b.cfg.MaxRetries {
-			return // leave it to the stall/reset machinery
-		}
-		f.retries++
-		b.result.AppRetries++
-		b.request(f, RequestRetry)
-	})
+	if f.retries >= b.cfg.MaxRetries {
+		return // leave it to the stall/reset machinery
+	}
+	f.retries++
+	b.result.AppRetries++
+	b.request(f, RequestRetry)
 }
 
 // onPush adopts a pushed stream: if the plan wants the object and it is
@@ -428,10 +423,7 @@ func (b *Browser) onResponseEvent(s *h2.Stream, n int, endStream bool) {
 	}
 	b.lastProgress = b.sched.Now()
 	f.started = true
-	if f.retryEv != nil {
-		b.sched.Cancel(f.retryEv)
-		f.retryEv = nil
-	}
+	f.retry.Stop()
 	f.streams[s.ID()] += n
 	if endStream && !f.done {
 		f.done = true
@@ -474,24 +466,22 @@ func (b *Browser) onResponseEvent(s *h2.Stream, n int, endStream bool) {
 // trickled bytes do not count as health — the browser resets every open
 // stream and re-requests what it still needs, backing its patience off.
 func (b *Browser) armStallCheck() {
-	if b.stallEv != nil {
-		b.sched.Cancel(b.stallEv)
+	b.stall.Reset(b.sched.Now() + 250*time.Millisecond)
+}
+
+func (b *Browser) onStallCheck() {
+	if b.result.Broken || b.finished {
+		return
 	}
-	b.stallEv = b.sched.After(250*time.Millisecond, func() {
-		b.stallEv = nil
-		if b.result.Broken || b.finished {
-			return
+	open := b.openIncomplete()
+	now := b.sched.Now()
+	for _, f := range open {
+		if now-f.deadlineFrom >= b.resetWait {
+			b.doReset(open)
+			break
 		}
-		open := b.openIncomplete()
-		now := b.sched.Now()
-		for _, f := range open {
-			if now-f.deadlineFrom >= b.resetWait {
-				b.doReset(open)
-				break
-			}
-		}
-		b.armStallCheck()
-	})
+	}
+	b.armStallCheck()
 }
 
 // sortedStreamIDs returns a fetch's stream ids in ascending order, so
@@ -546,10 +536,7 @@ func (b *Browser) doReset(open []*fetch) {
 		}
 		f.started = false
 		f.deadlineFrom = b.sched.Now()
-		if f.retryEv != nil {
-			b.sched.Cancel(f.retryEv)
-			f.retryEv = nil
-		}
+		f.retry.Stop()
 	}
 	b.lastProgress = b.sched.Now()
 	// Re-request in plan (priority) order: first after the re-parse

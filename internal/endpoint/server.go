@@ -118,6 +118,12 @@ type Server struct {
 	activePeak  int
 	tasksServed int
 
+	// A task's dispatch and chunk steps are scheduled through AfterArg
+	// with these callbacks, bound once, and the *task as the argument:
+	// no closure per chunk.
+	dispatchFn func(any)
+	stepFn     func(any)
+
 	tr *trace.Tracer
 }
 
@@ -137,6 +143,8 @@ func NewServer(sched *simtime.Scheduler, rng *simtime.Rand, tcp *tcpsim.Conn, si
 		rendered:  make(map[string]bool),
 	}
 	srv.tr = srv.cfg.Tracer
+	srv.dispatchFn = srv.dispatch
+	srv.stepFn = func(v any) { srv.step(v.(*task)) }
 	st, err := newStack(tcp, false, rng, srv.cfg.H2, func(err error) {
 		if srv.fatalErr == nil {
 			srv.fatalErr = err
@@ -262,10 +270,15 @@ func (s *Server) spawn(stream *h2.Stream, obj *website.Object) {
 			sigma = 0.5
 		}
 	}
-	t.ev = s.sched.After(s.rng.LogNormal(dispatch, sigma), func() {
-		s.rendered[obj.ID] = true
-		s.step(t)
-	})
+	t.ev = s.sched.AfterArg(s.rng.LogNormal(dispatch, sigma), s.dispatchFn, t)
+}
+
+// dispatch runs a task's first step once its dispatch latency has
+// passed; a dynamic page is in the render cache from then on.
+func (s *Server) dispatch(v any) {
+	t := v.(*task)
+	s.rendered[t.obj.ID] = true
+	s.step(t)
 }
 
 // pushEmblems implements the §VII server-push defense: promise and serve
@@ -338,9 +351,7 @@ func (s *Server) step(t *task) {
 	if t.obj.Dynamic && !t.cached {
 		delay = s.cfg.DynamicChunkDelay
 	}
-	t.ev = s.sched.After(s.rng.LogNormal(delay, s.cfg.ChunkDelaySigma), func() {
-		s.step(t)
-	})
+	t.ev = s.sched.AfterArg(s.rng.LogNormal(delay, s.cfg.ChunkDelaySigma), s.stepFn, t)
 }
 
 func (s *Server) finish(t *task) {
@@ -373,7 +384,7 @@ func (s *Server) resume(t *task) {
 	t.waiting = false
 	t.waitBuf = false
 	s.prio.SetReady(t.stream.ID(), false)
-	t.ev = s.sched.After(0, func() { s.step(t) })
+	t.ev = s.sched.AfterArg(0, s.stepFn, t)
 }
 
 // resumeBlocked wakes paused tasks matching keep, in priority-tree order

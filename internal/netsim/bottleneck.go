@@ -98,6 +98,10 @@ type aggDir struct {
 	queuedBytes int
 	stats       AggStats
 
+	// drain carries FIFO queue-drain events for every attached flow of
+	// this direction: the shared busyUntil makes their times monotone.
+	drain simtime.Lane
+
 	// DRR state: queues in attach order (= fleet flow order, so service
 	// order is deterministic), active is the round-robin backlog list.
 	queues  []*aggQueue
@@ -134,6 +138,10 @@ func NewBottleneck(sched *simtime.Scheduler, cfg BottleneckConfig) (*Bottleneck,
 	}
 	b := &Bottleneck{sched: sched, cfg: cfg}
 	b.svcDoneEv = b.onServiceDone
+	for i := range b.dirs {
+		d := &b.dirs[i]
+		d.drain.Init(sched, d.onDrain)
+	}
 	return b, nil
 }
 
@@ -157,7 +165,6 @@ func (b *Bottleneck) Attach(p *Path) {
 
 func (b *Bottleneck) attachLink(l *Link) {
 	l.agg = b
-	l.aggTxDoneEv = l.onAggTxDone
 	d := &b.dirs[dirIndex(l.dir)]
 	q := &aggQueue{link: l}
 	l.aggQ = q
@@ -204,19 +211,29 @@ func (b *Bottleneck) send(l *Link, now time.Duration, pkt *Packet, size int, ext
 	d.busyUntil = txEnd
 	d.queuedBytes += size
 	pkt.refs = 2 // queue-drain + delivery; a duplicate adds a third
-	b.sched.AtArg(txEnd, l.aggTxDoneEv, pkt)
+	pkt.link = l
+	d.drain.At(txEnd, pkt)
 
 	arrival := txEnd + l.cfg.PropDelay + l.propExtra + l.naturalJitter() + extra
 	l.ck.LinkForwarded(l.ckDir, size, false)
 	l.observe(PacketEvent{Now: now, Pkt: pkt, Action: ActionForwarded, Arrival: arrival})
-	b.sched.AtArg(arrival, l.deliverEv, pkt)
+	l.dlvLane.At(arrival, pkt)
 	if l.rng.Bool(l.cfg.DuplicateProb) {
 		dupArrival := txEnd + l.cfg.PropDelay + l.propExtra + l.naturalJitter() + extra
 		l.stats.Duplicated++
 		l.ck.LinkForwarded(l.ckDir, size, true)
 		pkt.refs++
-		b.sched.AtArg(dupArrival, l.deliverEv, pkt)
+		l.dlvLane.At(dupArrival, pkt)
 	}
+}
+
+// onDrain fires when a FIFO packet's last bit leaves the shared
+// transmitter: the shared byte budget is returned and one scheduler
+// reference on the packet is dropped.
+func (d *aggDir) onDrain(v any) {
+	pkt := v.(*Packet)
+	d.queuedBytes -= pkt.Size
+	pkt.link.unref(pkt)
 }
 
 // admitDRR enqueues a packet on its flow's queue. The post-serialization
@@ -293,9 +310,9 @@ func (b *Bottleneck) onServiceDone(v any) {
 	d.queuedBytes -= e.size
 	arrival := now + e.delay
 	l.observe(PacketEvent{Now: now, Pkt: e.pkt, Action: ActionForwarded, Arrival: arrival})
-	b.sched.AtArg(arrival, l.deliverEv, e.pkt)
+	l.dlvLane.At(arrival, e.pkt)
 	if e.dup {
-		b.sched.AtArg(now+e.dupDelay, l.deliverEv, e.pkt)
+		l.dlvLane.At(now+e.dupDelay, e.pkt)
 	}
 	l.unref(e.pkt) // the service-done reference
 	b.entryFree.Put(e)

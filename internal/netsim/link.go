@@ -110,28 +110,30 @@ type Link struct {
 	ck    *check.Checker // nil unless invariant checks are armed
 	ckDir uint8          // check.DirC2S / check.DirS2C, resolved once
 
-	// Packet recycling (see SetRecycle). deliverEv/txDoneEv are the
-	// link's delivery and queue-drain callbacks bound once as method
-	// values, so the Send hot path schedules them through AtArg without
-	// building a closure per packet. pktFree recycles Packet structs and
-	// release hands the payload back to its owner (tcpsim's segment
+	// txLane and dlvLane carry the link's queue-drain and delivery
+	// events. Drain times never decrease (the serializer is FIFO), and
+	// deliveries do too unless jitter lets a packet overtake, so each
+	// stream sits in the scheduler heap as one slot; an overtaking
+	// delivery falls back to an ordinary event with the same key.
+	txLane  simtime.Lane
+	dlvLane simtime.Lane
+
+	// Packet recycling (see SetRecycle). pktFree recycles Packet structs
+	// and release hands the payload back to its owner (tcpsim's segment
 	// pool) once the last scheduled reference has fired — refcounted,
 	// because netem-style duplication delivers the same packet twice.
-	deliverEv func(any)
-	txDoneEv  func(any)
-	recycle   bool
-	release   func(payload any)
-	pktFree   pool.FreeList[Packet]
+	recycle bool
+	release func(payload any)
+	pktFree pool.FreeList[Packet]
 
 	// Shared-bottleneck attachment (see bottleneck.go). When agg is
 	// non-nil the link's own queue/serializer is replaced by the shared
 	// one; everything upstream of serialization — middlebox processors,
 	// blackout, loss, and the jitter/duplicate draws — stays here so the
-	// per-flow RNG stream is untouched. aggQ is this link's DRR queue and
-	// aggTxDoneEv its shared-queue drain callback, both bound at attach.
-	agg         *Bottleneck
-	aggQ        *aggQueue
-	aggTxDoneEv func(any)
+	// per-flow RNG stream is untouched. aggQ is this link's DRR queue,
+	// bound at attach.
+	agg  *Bottleneck
+	aggQ *aggQueue
 }
 
 // NewLink builds a link for one direction. deliver may be set later with
@@ -144,10 +146,8 @@ func NewLink(sched *simtime.Scheduler, rng *simtime.Rand, dir Direction, cfg Lin
 		nextID = new(uint64)
 	}
 	l := &Link{sched: sched, rng: rng, dir: dir, cfg: cfg, nextID: nextID}
-	// Bound once: the Send hot path schedules these through AtArg, so a
-	// forwarded packet costs zero closure allocations.
-	l.deliverEv = l.onDeliver
-	l.txDoneEv = l.onTxDone
+	l.txLane.Init(sched, l.onTxDone)
+	l.dlvLane.Init(sched, l.onDeliver)
 	return l, nil
 }
 
@@ -332,12 +332,12 @@ func (l *Link) Send(size int, payload any) {
 	l.busyUntil = txEnd
 	l.queuedBytes += size
 	pkt.refs = 2 // queue-drain + delivery; a duplicate adds a third
-	l.sched.AtArg(txEnd, l.txDoneEv, pkt)
+	l.txLane.At(txEnd, pkt)
 
 	arrival := txEnd + l.cfg.PropDelay + l.propExtra + l.naturalJitter() + extra
 	l.ck.LinkForwarded(l.ckDir, size, false)
 	l.observe(PacketEvent{Now: now, Pkt: pkt, Action: ActionForwarded, Arrival: arrival})
-	l.sched.AtArg(arrival, l.deliverEv, pkt)
+	l.dlvLane.At(arrival, pkt)
 	// netem-style duplication: a second copy whose independent jitter draw
 	// goes through the same ReorderProb gate as the primary, and whose
 	// delivery updates the same stats the primary does.
@@ -346,7 +346,7 @@ func (l *Link) Send(size int, payload any) {
 		l.stats.Duplicated++
 		l.ck.LinkForwarded(l.ckDir, size, true)
 		pkt.refs++
-		l.sched.AtArg(dupArrival, l.deliverEv, pkt)
+		l.dlvLane.At(dupArrival, pkt)
 	}
 }
 
@@ -366,14 +366,6 @@ func (l *Link) dropQueue(now time.Duration, pkt *Packet, size int) {
 func (l *Link) onTxDone(v any) {
 	pkt := v.(*Packet)
 	l.queuedBytes -= pkt.Size
-	l.unref(pkt)
-}
-
-// onAggTxDone is onTxDone for a bottleneck-attached link: the byte
-// budget returned is the shared one.
-func (l *Link) onAggTxDone(v any) {
-	pkt := v.(*Packet)
-	l.agg.dirs[dirIndex(l.dir)].queuedBytes -= pkt.Size
 	l.unref(pkt)
 }
 

@@ -472,3 +472,43 @@ func TestRecycleIdenticalOutcome(t *testing.T) {
 		}
 	}
 }
+
+// TestRecyclingSendDeliverZeroAllocs pins that a recycling link's
+// Send→drain→deliver cycle allocates nothing at steady state, with
+// jittered and duplicated deliveries that overtake one another, both on
+// a standalone link and through a FIFO bottleneck's shared drain lane.
+func TestRecyclingSendDeliverZeroAllocs(t *testing.T) {
+	for _, shared := range []bool{false, true} {
+		sched := simtime.NewScheduler()
+		p, err := NewPath(sched, simtime.NewRand(5), PathConfig{Link: LinkConfig{
+			BandwidthBps: 1e8, PropDelay: time.Millisecond,
+			NaturalJitter: 2 * time.Millisecond, ReorderProb: 0.3, DuplicateProb: 0.1,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shared {
+			b, err := NewBottleneck(sched, BottleneckConfig{BandwidthBps: 1e8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Attach(p)
+		}
+		p.SetRecycle(nil)
+		delivered := 0
+		p.Connect(func(*Packet) { delivered++ }, func(*Packet) { delivered++ })
+		burst := func() {
+			for i := 0; i < 32; i++ {
+				p.Send(ClientToServer, 1200, Background{})
+			}
+			sched.Run()
+		}
+		burst() // warm the packet and lane-entry free lists
+		if allocs := testing.AllocsPerRun(100, burst); allocs > 0 {
+			t.Fatalf("shared=%v: recycling Send→deliver allocates %.2f per burst, want 0", shared, allocs)
+		}
+		if st := p.Link(ClientToServer).Stats(); st.Duplicated == 0 || delivered != st.Sent+st.Duplicated {
+			t.Fatalf("shared=%v: delivered %d of %+v", shared, delivered, st)
+		}
+	}
+}

@@ -56,12 +56,17 @@ type Packet struct {
 	SentAt time.Duration
 
 	// refs counts pending scheduler references when the owning link has
-	// packet recycling armed (Link.SetRecycle): queue-drain, delivery,
-	// and a possible duplicate delivery each hold one. The struct (and
-	// its payload, via the release hook) goes back on the link's free
-	// list when the count hits zero. Unused — always zero — on links
-	// without recycling.
+	// packet recycling armed (Link.SetRecycle): the queue-drain entry, the
+	// delivery entry and a possible duplicate delivery each hold one,
+	// whether it sits in a lane or in an overtaking delivery's fallback
+	// event. The struct (and its payload, via the release hook) goes back
+	// on the link's free list when the count hits zero. Unused — always
+	// zero — on links without recycling.
 	refs int
+	// link is the member link of a FIFO bottleneck the packet crossed:
+	// the shared drain lane serves every flow of a direction and hands
+	// the packet back to this link when it drains.
+	link *Link
 }
 
 // Verdict is a middlebox processor's decision about one packet.

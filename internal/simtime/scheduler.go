@@ -22,16 +22,30 @@ import (
 // a recycled struct is never reachable through a stale handle. Cancelling
 // a pending or already-cancelled event remains a safe no-op; cancelled
 // events are deliberately NOT recycled, so double-Cancel can never corrupt
-// a reused event.
+// a reused event. Callers that cancel and re-arm on a hot path use a
+// Timer instead, which re-keys one registered event in place and never
+// allocates.
+//
+// Lanes and timers hold an Event of their own (kind laneEv / timerEv):
+// it is their single heap slot, registered once and never recycled.
 type Event struct {
 	at   time.Duration
 	seq  uint64
 	fn   func()
 	fnA  func(any) // AtArg form: pre-bound callback + argument, no closure
-	arg  any
-	id   int32  // index in the scheduler's event table (see eventQueue)
+	arg  any       // the AtArg argument; the owning *Lane for a lane's slot
+	id   int32     // index in the scheduler's event table (see eventQueue)
+	kind evKind
 	next *Event // free-list link; non-nil only while recycled
 }
+
+type evKind uint8
+
+const (
+	plainEv evKind = iota // At/AtArg: recycled after it fires
+	laneEv                // a Lane's slot, keyed by the lane's head
+	timerEv               // a Timer's slot
+)
 
 // Time reports the virtual time at which the event will fire.
 func (e *Event) Time() time.Duration { return e.at }
@@ -45,6 +59,9 @@ type Scheduler struct {
 	running  bool
 	free     *Event // recycled fired events (see Event)
 	stepHook func(time.Duration)
+
+	laneFree  *laneEntry // recycled lane entries, shared by every Lane
+	laneExtra int        // pending lane entries behind their lane's head
 
 	// Watchdog state (see SetStepBudget / SetWallDeadline / SetInterrupt).
 	// All three are off by default and cost one predictable branch per
@@ -137,8 +154,10 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 // taking a plain func. nil removes the hook.
 func (s *Scheduler) SetStepHook(fn func(time.Duration)) { s.stepHook = fn }
 
-// Len reports the number of pending events.
-func (s *Scheduler) Len() int { return len(s.queue.heap) }
+// Len reports the number of pending events. A lane occupies one heap
+// slot however many entries it holds, so the entries behind each lane's
+// head are counted separately.
+func (s *Scheduler) Len() int { return len(s.queue.heap) + s.laneExtra }
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the past
 // (before Now) panics: it is always a simulation bug, never a recoverable
@@ -158,9 +177,7 @@ func (s *Scheduler) At(at time.Duration, fn func()) *Event {
 // were cleared when it fired), otherwise a new one entered in the event
 // table.
 func (s *Scheduler) event(at time.Duration) *Event {
-	if at < s.now {
-		panic(fmt.Sprintf("simtime: event scheduled in the past: at=%v now=%v", at, s.now))
-	}
+	seq := s.stamp(at)
 	ev := s.free
 	if ev != nil {
 		s.free = ev.next
@@ -169,9 +186,19 @@ func (s *Scheduler) event(at time.Duration) *Event {
 		ev = &Event{}
 		s.queue.register(ev)
 	}
-	ev.at, ev.seq = at, s.nextSeq
-	s.nextSeq++
+	ev.at, ev.seq = at, seq
 	return ev
+}
+
+// stamp hands out the sequence number of an event scheduled at at. Every
+// way of scheduling draws it here, in call order, which is what makes the
+// keys of plain events, lane entries and timers one total order.
+func (s *Scheduler) stamp(at time.Duration) uint64 {
+	if at < s.now {
+		panic(fmt.Sprintf("simtime: event scheduled in the past: at=%v now=%v", at, s.now))
+	}
+	s.nextSeq++
+	return s.nextSeq - 1
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -187,8 +214,8 @@ func (s *Scheduler) After(d time.Duration, fn func()) *Event {
 // value: fn is a long-lived function (typically a method value bound
 // once at construction) and arg is handed back to it when the event
 // fires. Scheduling this way allocates nothing beyond the (recycled)
-// Event — netsim's per-packet delivery timers are the motivating
-// caller, which fire hundreds of times per simulated page load.
+// Event — the server's per-chunk steps and a lane's out-of-order
+// appends (see Lane) schedule this way.
 func (s *Scheduler) AtArg(at time.Duration, fn func(any), arg any) *Event {
 	if fn == nil {
 		panic("simtime: AtArg called with nil callback")
@@ -224,48 +251,55 @@ func (s *Scheduler) Cancel(ev *Event) {
 // time. It reports whether an event was run. With a step budget armed it
 // panics with *BudgetError once the budget is exhausted; with a wall
 // deadline armed it panics with *DeadlineError once host time runs out —
-// in both cases the error, not a hang, is the contract.
+// in both cases the error, not a hang, is the contract. Every watchdog
+// verdict is reached by peeking at the root, so a tripped Step leaves the
+// queue exactly as it found it for a recovering supervisor to inspect.
 func (s *Scheduler) Step() bool {
-	if s.interrupted || len(s.queue.heap) == 0 {
+	q := &s.queue
+	if s.interrupted || len(q.heap) == 0 {
 		return false
 	}
-	ev := s.queue.pop()
 	if s.stepBudget > 0 && s.steps >= s.stepBudget {
-		// Push the event back so the scheduler state stays coherent for
-		// a recovering supervisor that wants to inspect it.
-		s.queue.push(ev)
 		panic(&BudgetError{Steps: s.steps, Now: s.now})
 	}
 	s.steps++
 	if s.steps%pollEvery == 0 {
 		if s.interrupt != nil && s.interrupt() {
 			s.interrupted = true
-			s.queue.push(ev)
 			return false
 		}
 		if !s.wallDeadline.IsZero() && time.Now().After(s.wallDeadline) {
-			s.queue.push(ev)
 			panic(&DeadlineError{Limit: s.wallLimit, Steps: s.steps, Now: s.now})
 		}
 	}
+	ev := q.evs[q.heap[0].id]
 	s.now = ev.at
 	if s.stepHook != nil {
 		s.stepHook(ev.at)
 	}
-	if ev.fn != nil {
+	switch ev.kind {
+	case laneEv:
+		s.fireLane(ev)
+	case timerEv:
+		q.remove(0)
 		ev.fn()
-	} else {
-		ev.fnA(ev.arg)
+	default:
+		q.remove(0)
+		if ev.fn != nil {
+			ev.fn()
+		} else {
+			ev.fnA(ev.arg)
+		}
+		// Recycle only after the callback returns: a callback that
+		// reaches its own stale handle (cancel-guarded cleanup paths)
+		// still sees a popped, unpooled event and no-ops. The struct
+		// becomes live again only when a later At re-arms it.
+		ev.fn = nil
+		ev.fnA = nil
+		ev.arg = nil
+		ev.next = s.free
+		s.free = ev
 	}
-	// Recycle only after the callback returns: a callback that reaches
-	// its own stale handle (cancel-guarded cleanup paths) still sees a
-	// popped, unpooled event and no-ops. The struct becomes live again
-	// only when a later At re-arms it.
-	ev.fn = nil
-	ev.fnA = nil
-	ev.arg = nil
-	ev.next = s.free
-	s.free = ev
 	return true
 }
 
@@ -322,7 +356,8 @@ func (s *Scheduler) guardReentry() {
 // the event table rather than by pointer: the heap holds no pointers, so
 // moving a slot never pays a garbage-collector write barrier and the
 // collector never scans it. pos tracks each queued event's heap index,
-// which makes Cancel an eager O(log n) removal.
+// which makes Cancel an eager O(log n) removal and lets a Timer re-key
+// its slot in place. A Lane's slot carries its head entry's key.
 type eventQueue struct {
 	heap []qslot
 	evs  []*Event // event table, by Event.id
@@ -369,13 +404,6 @@ func (q *eventQueue) push(ev *Event) {
 	q.up(len(q.heap) - 1)
 }
 
-// pop removes and returns the earliest event. The queue must be non-empty.
-func (q *eventQueue) pop() *Event {
-	id := q.heap[0].id
-	q.remove(0)
-	return q.evs[id]
-}
-
 // remove deletes the slot at index i. The hole sinks along earliest
 // children to a leaf, then the former last slot fills it and rises into
 // place. The last slot almost always belongs near the leaves, so this
@@ -407,6 +435,36 @@ func (q *eventQueue) up(i int) {
 		h[i] = h[p]
 		pos[h[i].id] = int32(i)
 		i = p
+	}
+	h[i] = s
+	pos[s.id] = int32(i)
+}
+
+// rekey gives the queued event ev the key it now carries, moving its
+// slot up or down from where it sits.
+func (q *eventQueue) rekey(ev *Event) {
+	i := int(q.pos[ev.id])
+	q.heap[i].at, q.heap[i].seq = ev.at, ev.seq
+	q.up(i)
+	q.down(int(q.pos[ev.id]))
+}
+
+// down moves the slot at i away from the root until no child is earlier.
+func (q *eventQueue) down(i int) {
+	h, pos := q.heap, q.pos
+	s := h[i]
+	for {
+		c := 4*i + 1
+		if c >= len(h) {
+			break
+		}
+		m := minChild(h, c)
+		if before(&h[m], &s) == 0 {
+			break
+		}
+		h[i] = h[m]
+		pos[h[i].id] = int32(i)
+		i = m
 	}
 	h[i] = s
 	pos[s.id] = int32(i)

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -540,4 +541,151 @@ func TestInterruptStopsRunCooperatively(t *testing.T) {
 	if s.Step() {
 		t.Fatal("Step ran an event after interruption")
 	}
+}
+
+// TestTimerResetStopAllocs pins that re-arming and stopping a Timer —
+// the transport's per-ACK RTO/PTO work — allocates nothing, including
+// when it fires and is re-armed from its own callback.
+func TestTimerResetStopAllocs(t *testing.T) {
+	s := NewScheduler()
+	var rto, pto Timer
+	fires := 0
+	rto.Init(s, func() { fires++ })
+	pto.Init(s, func() { fires++; pto.Reset(s.Now() + time.Millisecond) })
+	pto.Reset(time.Millisecond)
+	allocs := testing.AllocsPerRun(100, func() {
+		rto.Reset(s.Now() + 3*time.Millisecond)
+		pto.Reset(s.Now() + 2*time.Millisecond)
+		rto.Reset(s.Now() + 4*time.Millisecond) // re-key while pending
+		rto.Stop()
+		rto.Stop() // stopped: a no-op
+		s.RunUntil(s.Now() + 2*time.Millisecond)
+	})
+	if allocs > 0 {
+		t.Fatalf("Timer Reset/Stop allocates %.1f per cycle, want 0", allocs)
+	}
+	if fires == 0 || !pto.Pending() || rto.Pending() {
+		t.Fatalf("fires=%d pto pending=%v rto pending=%v", fires, pto.Pending(), rto.Pending())
+	}
+}
+
+// TestLaneAllocs pins that a warmed lane appends and fires without
+// allocating, in order and through the out-of-order fallback.
+func TestLaneAllocs(t *testing.T) {
+	s := NewScheduler()
+	var lane Lane
+	n := 0
+	lane.Init(s, func(any) { n++ })
+	var arg any = 7
+	cycle := func() {
+		now := s.Now()
+		lane.At(now+3, arg)
+		lane.At(now+5, arg)
+		lane.At(now+4, arg) // behind the tail: AtArg fallback
+		s.Run()
+	}
+	cycle() // warm the free lists
+	if allocs := testing.AllocsPerRun(100, cycle); allocs > 0 {
+		t.Fatalf("warmed lane allocates %.1f per cycle, want 0", allocs)
+	}
+	// Our warm-up cycle, AllocsPerRun's own warm-up run and 100 runs.
+	if want := 3 * 102; n != want {
+		t.Fatalf("lane fired %d events, want %d", n, want)
+	}
+}
+
+// BenchmarkSchedulerLane measures a link-shaped load: a serializer drain
+// and a delivery per packet, about 500 packets in flight, each delivery
+// sending the next packet, and one packet in 50 delayed by three
+// serialization times, so the next two deliveries overtake it and take
+// the lane's AtArg fallback. The lane case keeps
+// the two streams on Lanes; the atarg case schedules every event through
+// AtArg, as netsim did before lanes. One op is one fired event.
+func BenchmarkSchedulerLane(b *testing.B) {
+	const (
+		inFlight = 500
+		tx       = 12 * time.Microsecond // 1500 B at 1 Gbps
+		prop     = inFlight * tx
+	)
+	run := func(b *testing.B, useLanes bool) {
+		s := NewScheduler()
+		var drainLane, deliverLane Lane
+		var busy time.Duration
+		k := 0
+		drained := func(any) {}
+		var send func()
+		delivered := func(any) { send() }
+		drainLane.Init(s, drained)
+		deliverLane.Init(s, delivered)
+		send = func() {
+			k++
+			start := s.Now()
+			if busy > start {
+				start = busy
+			}
+			busy = start + tx
+			arrival := busy + prop
+			if k%50 == 0 {
+				arrival += 3 * tx
+			}
+			if useLanes {
+				drainLane.At(busy, nil)
+				deliverLane.At(arrival, nil)
+			} else {
+				s.AtArg(busy, drained, nil)
+				s.AtArg(arrival, delivered, nil)
+			}
+		}
+		for i := 0; i < inFlight; i++ {
+			send()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Step()
+		}
+	}
+	b.Run("lane", func(b *testing.B) { run(b, true) })
+	b.Run("atarg", func(b *testing.B) { run(b, false) })
+}
+
+// BenchmarkTimerReset measures re-arming one of 1500 pending timers, the
+// per-ACK RTO re-arm at fleet depth. The timer case re-keys a Timer in
+// place; the cancel-after case is the Cancel plus After it replaces. One
+// op is one re-arm.
+func BenchmarkTimerReset(b *testing.B) {
+	const timers = 1500
+	r := rand.New(rand.NewSource(1))
+	delays := make([]time.Duration, 4096)
+	for i := range delays {
+		delays[i] = time.Duration(1+r.Intn(200)) * time.Microsecond
+	}
+	noop := func() {}
+	b.Run("timer", func(b *testing.B) {
+		s := NewScheduler()
+		ts := make([]Timer, timers)
+		for i := range ts {
+			ts[i].Init(s, noop)
+			ts[i].Reset(delays[i&4095])
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ts[(i*7)%timers].Reset(delays[i&4095])
+		}
+	})
+	b.Run("cancel-after", func(b *testing.B) {
+		s := NewScheduler()
+		evs := make([]*Event, timers)
+		for i := range evs {
+			evs[i] = s.After(delays[i&4095], noop)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := (i * 7) % timers
+			s.Cancel(evs[j])
+			evs[j] = s.After(delays[i&4095], noop)
+		}
+	})
 }

@@ -55,15 +55,15 @@ type Conn struct {
 	rttPending bool
 	rttSeq     uint64
 	rttSentAt  time.Duration
-	rtoTimer   *simtime.Event
-	rackTimer  *simtime.Event // pending fast retransmit (reordering window)
-	ptoTimer   *simtime.Event // tail-loss probe (RFC 8985 §7.2)
+	rtoTimer   simtime.Timer
+	rackTimer  simtime.Timer // pending fast retransmit (reordering window)
+	ptoTimer   simtime.Timer // tail-loss probe (RFC 8985 §7.2)
 
 	// Receiver state.
 	rcvNxt      uint64
 	ooo         []oooChunk // buffered future data, ascending by seq
 	oooBytes    int
-	delAckTimer *simtime.Event
+	delAckTimer simtime.Timer
 	delAckCount int
 	hasPeerFin  bool
 	peerFinSeq  uint64
@@ -75,14 +75,7 @@ type Conn struct {
 	segs  *segPool
 	arena *pool.Arena
 
-	// Timer callbacks bound once at construction: a method value
-	// (c.onRTO) evaluates to a fresh closure allocation at every arm
-	// site, and RTO/PTO timers re-arm on every ACK.
-	onRTOFn    func()
-	onPTOFn    func()
-	onRackFn   func()
-	onDelAckFn func()
-	rackHole   uint64 // sndUna snapshot the armed rack timer guards
+	rackHole uint64 // sndUna snapshot the armed rack timer guards
 
 	stats Stats
 
@@ -119,10 +112,13 @@ func NewConn(sched *simtime.Scheduler, cfg Config, name string, iss uint64, out 
 		rto:      time.Second, // conservative pre-handshake RTO (RFC 6298 §2)
 		arena:    cfg.Pool,
 	}
-	c.onRTOFn = c.onRTO
-	c.onPTOFn = c.onPTO
-	c.onRackFn = c.onRack
-	c.onDelAckFn = c.onDelAck
+	// The timers are bound once and re-armed in place: RTO and PTO
+	// re-arm on every ACK, so re-arming must neither build a closure nor
+	// allocate an event.
+	c.rtoTimer.Init(sched, c.onRTO)
+	c.ptoTimer.Init(sched, c.onPTO)
+	c.rackTimer.Init(sched, c.onRack)
+	c.delAckTimer.Init(sched, c.onDelAck)
 	if cfg.Tracer.Enabled() {
 		c.tr = cfg.Tracer
 		c.ctRTO = c.tr.Counter(trace.LayerTCP, name+".rto")
@@ -330,10 +326,7 @@ func (c *Conn) fail(err error) {
 	c.disarmRTO()
 	c.disarmPTO()
 	c.cancelDelAck()
-	if c.rackTimer != nil {
-		c.sched.Cancel(c.rackTimer)
-		c.rackTimer = nil
-	}
+	c.rackTimer.Stop()
 	c.setState(StateBroken)
 }
 
@@ -390,14 +383,13 @@ func (c *Conn) sendAckMaybeDelayed() {
 		c.sendAck(false)
 		return
 	}
-	if c.delAckTimer == nil {
-		c.delAckTimer = c.sched.After(c.cfg.DelAckTimeout, c.onDelAckFn)
+	if !c.delAckTimer.Pending() {
+		c.delAckTimer.Reset(c.sched.Now() + c.cfg.DelAckTimeout)
 	}
 }
 
-// onDelAck fires the delayed-ACK timer (bound once as onDelAckFn).
+// onDelAck fires the delayed-ACK timer.
 func (c *Conn) onDelAck() {
-	c.delAckTimer = nil
 	if c.delAckCount > 0 {
 		c.sendAck(false)
 	}
@@ -405,8 +397,5 @@ func (c *Conn) onDelAck() {
 
 func (c *Conn) cancelDelAck() {
 	c.delAckCount = 0
-	if c.delAckTimer != nil {
-		c.sched.Cancel(c.delAckTimer)
-		c.delAckTimer = nil
-	}
+	c.delAckTimer.Stop()
 }

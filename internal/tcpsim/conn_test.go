@@ -420,18 +420,20 @@ func TestSegmentWireSize(t *testing.T) {
 	}
 }
 
-// TestSteadyWriteAckReusesSendBuffer drives a sender through a steady
-// write/partial-ack cycle and pins that the send buffer's acked prefix is
-// reclaimed rather than stranded: with pooled segments and payloads, the
-// only allocation left per cycle is the RTO timer the partial ACK re-arms
-// (cancelled events are never recycled).
-func TestSteadyWriteAckReusesSendBuffer(t *testing.T) {
+// establishedWriter returns a server-side Conn, established by hand,
+// whose segments go straight back to the pool as after a lossless
+// delivery, and a write/ack cycle over it: each cycle writes a chunk,
+// advances the clock by gap and acks all but the chunk just written, so
+// every Write appends behind a live tail and every ACK re-arms the
+// retransmission timers. The cycle has run 100 times to warm the arena
+// and the segment free list.
+func establishedWriter(t *testing.T, cfg Config, gap time.Duration) (c *Conn, chunk []byte, cycle func()) {
+	t.Helper()
 	sched := simtime.NewScheduler()
 	arena := pool.New()
 	segs := &segPool{arena: arena}
-	// Segments go straight back to the pool, as after a lossless delivery.
-	out := func(seg *Segment) { segs.release(seg) }
-	c, err := NewConn(sched, Config{Pool: arena, DisableRACKWindow: true}, "server", 1000, out)
+	cfg.Pool = arena
+	c, err := NewConn(sched, cfg, "server", 1000, func(seg *Segment) { segs.release(seg) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,22 +444,30 @@ func TestSteadyWriteAckReusesSendBuffer(t *testing.T) {
 	if c.State() != StateEstablished {
 		t.Fatalf("state = %v, want established", c.State())
 	}
-	chunk := make([]byte, 1000)
+	chunk = make([]byte, 1000)
 	ack := &Segment{Flags: FlagACK, Seq: 1, Window: 1 << 20}
-	cycle := func() {
+	cycle = func() {
 		if err := c.Write(chunk); err != nil {
 			t.Fatal(err)
 		}
-		// Ack all but the chunk just written, so every Write appends
-		// behind a live tail.
+		sched.RunUntil(sched.Now() + gap)
 		ack.Ack = c.sndNxt - uint64(len(chunk))
 		c.Deliver(ack)
 	}
 	for i := 0; i < 100; i++ {
-		cycle() // warm the arena and the segment free list
+		cycle()
 	}
-	if allocs := testing.AllocsPerRun(1000, cycle); allocs > 1 {
-		t.Fatalf("steady write/ack cycle allocates %.2f times, want at most 1 (the re-armed RTO)", allocs)
+	return c, chunk, cycle
+}
+
+// TestSteadyWriteAckReusesSendBuffer drives a sender through a steady
+// write/partial-ack cycle and pins that the send buffer's acked prefix is
+// reclaimed rather than stranded, and that with pooled segments and
+// payloads and an in-place RTO re-arm the cycle allocates nothing.
+func TestSteadyWriteAckReusesSendBuffer(t *testing.T) {
+	c, chunk, cycle := establishedWriter(t, Config{DisableRACKWindow: true}, 0)
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs > 0 {
+		t.Fatalf("steady write/ack cycle allocates %.2f times, want 0", allocs)
 	}
 	if c.Buffered() != len(chunk) {
 		t.Fatalf("buffered = %d, want %d", c.Buffered(), len(chunk))
@@ -466,5 +476,23 @@ func TestSteadyWriteAckReusesSendBuffer(t *testing.T) {
 	// small; one that only ever appends grows without bound.
 	if n := cap(c.sendBuf); n > 4*len(chunk) {
 		t.Fatalf("send buffer capacity grew to %d bytes for %d live", n, c.Buffered())
+	}
+}
+
+// TestSteadyWriteAckRearmsTimersWithoutAllocating pins the timer half of
+// the steady cycle: with RTT samples taken (the clock advances between
+// write and ACK), every ACK re-arms both the RTO and the tail-loss probe,
+// and neither re-arm allocates.
+func TestSteadyWriteAckRearmsTimersWithoutAllocating(t *testing.T) {
+	c, _, cycle := establishedWriter(t, Config{}, time.Millisecond)
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs > 0 {
+		t.Fatalf("steady write/ack cycle allocates %.2f times, want 0", allocs)
+	}
+	if c.srtt == 0 || !c.rtoTimer.Pending() || !c.ptoTimer.Pending() {
+		t.Fatalf("srtt=%v rto pending=%v pto pending=%v; want both timers armed by the last ACK",
+			c.srtt, c.rtoTimer.Pending(), c.ptoTimer.Pending())
+	}
+	if c.stats.TLPProbes != 0 || c.stats.RTOExpiries != 0 {
+		t.Fatalf("timers fired during a lossless cycle: %+v", c.stats)
 	}
 }

@@ -232,7 +232,7 @@ func (c *Conn) armFastRetransmit() {
 		c.fastRetransmit()
 		return
 	}
-	if c.rackTimer != nil {
+	if c.rackTimer.Pending() {
 		return // already armed
 	}
 	window := c.srtt / 4
@@ -243,13 +243,12 @@ func (c *Conn) armFastRetransmit() {
 		window = 20 * time.Millisecond
 	}
 	c.rackHole = c.sndUna
-	c.rackTimer = c.sched.After(window, c.onRackFn)
+	c.rackTimer.Reset(c.sched.Now() + window)
 }
 
-// onRack fires the RACK reordering-window timer (bound once as
-// onRackFn); rackHole holds the sndUna snapshot taken at arm time.
+// onRack fires the RACK reordering-window timer; rackHole holds the
+// sndUna snapshot taken at arm time.
 func (c *Conn) onRack() {
-	c.rackTimer = nil
 	if c.state != StateEstablished || c.sndUna != c.rackHole || c.dupAcks < c.cfg.DupAckThreshold {
 		return // the hole filled itself: reordering, not loss
 	}
@@ -308,12 +307,8 @@ func (c *Conn) retransmitFirstUnacked() {
 // expiries the connection is declared broken — the paper's "broken
 // connection" outcome at 1 Mbps (§IV-C) and under excessive jitter (§V).
 func (c *Conn) onRTO() {
-	c.rtoTimer = nil
 	c.disarmPTO()
-	if c.rackTimer != nil {
-		c.sched.Cancel(c.rackTimer)
-		c.rackTimer = nil
-	}
+	c.rackTimer.Stop()
 	c.stats.RTOExpiries++
 	c.ctRTO.Inc()
 	c.retries++
@@ -402,10 +397,10 @@ func (c *Conn) refreshRTO() {
 
 // armRTO starts the retransmission timer if it is not already running.
 func (c *Conn) armRTO() {
-	if c.rtoTimer != nil {
+	if c.rtoTimer.Pending() {
 		return
 	}
-	c.rtoTimer = c.sched.After(c.rto, c.onRTOFn)
+	c.rtoTimer.Reset(c.sched.Now() + c.rto)
 	c.armPTO()
 }
 
@@ -418,20 +413,19 @@ func (c *Conn) armPTO() {
 	if c.cfg.DisableRACKWindow || c.srtt == 0 {
 		return
 	}
-	c.disarmPTO()
 	pto := 2 * c.srtt
 	if min := 10 * time.Millisecond; pto < min {
 		pto = min
 	}
 	if pto >= c.rto {
+		c.disarmPTO()
 		return // the RTO fires first anyway
 	}
-	c.ptoTimer = c.sched.After(pto, c.onPTOFn)
+	c.ptoTimer.Reset(c.sched.Now() + pto)
 }
 
-// onPTO fires the tail-loss probe timer (bound once as onPTOFn).
+// onPTO fires the tail-loss probe timer.
 func (c *Conn) onPTO() {
-	c.ptoTimer = nil
 	if c.state != StateEstablished || c.sndNxt == c.sndUna {
 		return
 	}
@@ -447,25 +441,12 @@ func (c *Conn) onPTO() {
 	// backstop; the next ACK re-arms the probe.
 }
 
-func (c *Conn) disarmPTO() {
-	if c.ptoTimer != nil {
-		c.sched.Cancel(c.ptoTimer)
-		c.ptoTimer = nil
-	}
-}
+func (c *Conn) disarmPTO() { c.ptoTimer.Stop() }
 
 // armRTOReset restarts the timer (used when the window advances).
-func (c *Conn) armRTOReset() {
-	c.disarmRTO()
-	c.rtoTimer = c.sched.After(c.rto, c.onRTOFn)
-}
+func (c *Conn) armRTOReset() { c.rtoTimer.Reset(c.sched.Now() + c.rto) }
 
-func (c *Conn) disarmRTO() {
-	if c.rtoTimer != nil {
-		c.sched.Cancel(c.rtoTimer)
-		c.rtoTimer = nil
-	}
-}
+func (c *Conn) disarmRTO() { c.rtoTimer.Stop() }
 
 // maybeFinishClose transitions to Closed once both sides' FINs are done:
 // ours acknowledged and the peer's received.
