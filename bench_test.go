@@ -359,7 +359,7 @@ func TestDisabledCheckZeroAllocs(t *testing.T) {
 		ck.LinkForwarded(check.DirC2S, 1500, false)
 		ck.LinkDelivered(check.DirC2S, 1500)
 		ck.SchedulerStep(time.Millisecond)
-		ck.CaptureAppend(check.DirC2S, 1200, 1200, 1200, 1200)
+		ck.CaptureAppend(check.DirC2S, 1200, 0, 5, 1200)
 		ck.CaptureRecord(check.DirC2S, 600, 600)
 	})
 	if allocs != 0 {

@@ -9,6 +9,7 @@
 package capture
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
@@ -119,8 +120,8 @@ type PacketStats struct {
 // Monitor is the passive tap. Install it on a netsim.Path with AddTap.
 type Monitor struct {
 	records      []RecordEvent
-	stats        map[netsim.Direction]*PacketStats
-	streams      map[netsim.Direction]*dirStream
+	stats        [2]PacketStats // indexed by dirIndex
+	streams      [2]dirStream   // indexed by dirIndex
 	getCount     int
 	c2sAppCount  int
 	controlCount int
@@ -140,18 +141,10 @@ type Monitor struct {
 var _ netsim.Tap = (*Monitor)(nil)
 
 // NewMonitor returns an empty monitor.
-func NewMonitor() *Monitor {
-	return &Monitor{
-		stats: map[netsim.Direction]*PacketStats{
-			netsim.ClientToServer: {},
-			netsim.ServerToClient: {},
-		},
-		streams: map[netsim.Direction]*dirStream{
-			netsim.ClientToServer: newDirStream(),
-			netsim.ServerToClient: newDirStream(),
-		},
-	}
-}
+func NewMonitor() *Monitor { return &Monitor{} }
+
+// dirIndex maps a path direction to its slot in the monitor's arrays.
+func dirIndex(dir netsim.Direction) int { return int(dir - netsim.ClientToServer) }
 
 // OnGET registers a callback fired for each newly counted GET (the attack
 // driver's phase trigger).
@@ -181,13 +174,14 @@ func (m *Monitor) SetTracer(tr *trace.Tracer) {
 func (m *Monitor) SetFlows(fl *flowseq.Analyzer) { m.fl = fl }
 
 // SetChecker arms reassembly invariant checks on both direction streams:
-// taint arrays stay parallel to the byte buffer, the reassembled stream has
-// no gaps, and parsed records exactly partition the appended bytes.
+// the reassembled stream has no gaps, no record consumes more bytes than
+// its header declares, and parsed records exactly partition the appended
+// bytes.
 func (m *Monitor) SetChecker(ck *check.Checker) {
-	m.streams[netsim.ClientToServer].ck = ck
-	m.streams[netsim.ClientToServer].ckDir = check.DirC2S
-	m.streams[netsim.ServerToClient].ck = ck
-	m.streams[netsim.ServerToClient].ckDir = check.DirS2C
+	m.streams[dirIndex(netsim.ClientToServer)].ck = ck
+	m.streams[dirIndex(netsim.ClientToServer)].ckDir = check.DirC2S
+	m.streams[dirIndex(netsim.ServerToClient)].ck = ck
+	m.streams[dirIndex(netsim.ServerToClient)].ckDir = check.DirS2C
 }
 
 // Records returns all parsed record events in observation order.
@@ -206,11 +200,11 @@ func (m *Monitor) ControlCount() int { return m.controlCount }
 func (m *Monitor) LastServerDataAt() (time.Duration, bool) { return m.lastS2CData, m.anyS2CData }
 
 // Stats returns the per-direction packet counters.
-func (m *Monitor) Stats(dir netsim.Direction) PacketStats { return *m.stats[dir] }
+func (m *Monitor) Stats(dir netsim.Direction) PacketStats { return m.stats[dirIndex(dir)] }
 
 // TotalRetransmits reports retransmitted segments seen in both directions.
 func (m *Monitor) TotalRetransmits() int {
-	return m.stats[netsim.ClientToServer].Retransmits + m.stats[netsim.ServerToClient].Retransmits
+	return m.stats[0].Retransmits + m.stats[1].Retransmits
 }
 
 // Observe implements netsim.Tap.
@@ -219,7 +213,7 @@ func (m *Monitor) Observe(ev netsim.PacketEvent) {
 	if !ok {
 		return
 	}
-	st := m.stats[ev.Pkt.Dir]
+	st := &m.stats[dirIndex(ev.Pkt.Dir)]
 	st.Packets++
 	st.PayloadBytes += int64(len(seg.Payload))
 	if seg.Retransmit {
@@ -251,8 +245,7 @@ func (m *Monitor) Observe(ev netsim.PacketEvent) {
 		m.anyS2CData = true
 	}
 	// Reassemble the forwarded byte stream and parse record headers.
-	ds := m.streams[ev.Pkt.Dir]
-	for _, rec := range ds.push(seg) {
+	for _, rec := range m.streams[dirIndex(ev.Pkt.Dir)].push(seg) {
 		rec.Time = ev.Now
 		rec.Dir = ev.Pkt.Dir
 		if rec.Dir == netsim.ClientToServer && rec.Type == tlsrec.ContentApplicationData {
@@ -290,33 +283,42 @@ func (m *Monitor) Observe(ev netsim.PacketEvent) {
 }
 
 // dirStream reassembles one direction's TCP stream (sequence-based, with
-// out-of-order buffering and retransmission dedup) and incrementally cuts
-// TLS records out of it, tracking per-byte retransmission taint.
+// out-of-order buffering and retransmission dedup) and cuts TLS records
+// out of it as the bytes arrive. Like tshark's ssl.record fields, it reads
+// only record headers: it keeps the open record's 5-byte header, skips the
+// body by count, and taints a record when any chunk that supplied one of
+// its bytes was a retransmission.
 type dirStream struct {
 	synSeen bool
 	nextSeq uint64
-	ooo     map[uint64]oooChunk
-	buf     []byte // reassembled record bytes; [off:] is still unparsed
-	taint   []bool // parallel to buf: byte arrived via a retransmission
-	off     int    // parsed prefix of buf/taint, reclaimed on append
+	ooo     []oooChunk // out-of-order chunks, seq-sorted, one per seq
 
-	evs []RecordEvent // parse() scratch, reused per push
+	// The open record: its header bytes so far, how many of its bytes
+	// have been consumed (header included), its type and wire length once
+	// the header is complete (wire is 0 before), and its taint.
+	hdr     [tlsrec.HeaderSize]byte
+	have    int
+	wire    int
+	typ     tlsrec.ContentType
+	tainted bool
+
+	evs []RecordEvent // records completed by the current push, reused
 
 	ck    *check.Checker
 	ckDir uint8
 }
 
 type oooChunk struct {
+	seq     uint64
 	data    []byte
 	tainted bool
 }
 
-func newDirStream() *dirStream {
-	return &dirStream{ooo: make(map[uint64]oooChunk)}
-}
-
-// push ingests a segment and returns any records completed by it.
+// push ingests a segment and returns any records completed by it. The
+// returned slice is scratch reused by the next push; the caller consumes
+// it synchronously.
 func (d *dirStream) push(seg *tcpsim.Segment) []RecordEvent {
+	d.evs = d.evs[:0]
 	if seg.Flags.Has(tcpsim.FlagSYN) {
 		d.synSeen = true
 		d.nextSeq = seg.Seq + 1
@@ -326,7 +328,7 @@ func (d *dirStream) push(seg *tcpsim.Segment) []RecordEvent {
 		return nil
 	}
 	d.ingest(seg.Seq, seg.Payload, seg.Retransmit)
-	return d.parse()
+	return d.evs
 }
 
 func (d *dirStream) ingest(seq uint64, payload []byte, tainted bool) {
@@ -335,104 +337,86 @@ func (d *dirStream) ingest(seq uint64, payload []byte, tainted bool) {
 	case end <= d.nextSeq:
 		return // pure duplicate of delivered bytes
 	case seq <= d.nextSeq:
-		fresh := payload[d.nextSeq-seq:]
-		d.append(fresh, tainted)
+		d.append(payload[d.nextSeq-seq:], tainted)
 		d.drain()
 	default:
-		if _, ok := d.ooo[seq]; !ok {
-			cp := make([]byte, len(payload))
-			copy(cp, payload)
-			d.ooo[seq] = oooChunk{data: cp, tainted: tainted}
-		}
-	}
-}
-
-func (d *dirStream) append(fresh []byte, tainted bool) {
-	// Reclaim the parsed prefix first: reslicing forward in parse() would
-	// strand the consumed capacity and reallocate every buffer cycle.
-	if d.off > 0 {
-		n := copy(d.buf, d.buf[d.off:])
-		d.buf = d.buf[:n]
-		copy(d.taint, d.taint[d.off:])
-		d.taint = d.taint[:n]
-		d.off = 0
-	}
-	d.buf = append(d.buf, fresh...)
-	// Bulk-extend the taint array instead of one append per byte; recycled
-	// capacity may hold stale flags, so every new slot is set explicitly.
-	old := len(d.taint)
-	d.taint = slices.Grow(d.taint, len(fresh))[:old+len(fresh)]
-	for i := old; i < len(d.taint); i++ {
-		d.taint[i] = tainted
-	}
-	d.nextSeq += uint64(len(fresh))
-	if d.ck.Enabled() {
-		d.ck.CaptureAppend(d.ckDir, len(fresh), len(d.buf)-d.off, len(d.taint)-d.off, d.nextSeq)
-	}
-}
-
-func (d *dirStream) drain() {
-	// Apply stored chunks lowest-seq first. When one in-order fill makes
-	// several overlapping out-of-order chunks applicable at once, the chunk
-	// that supplies an overlapped byte decides its taint flag — so the
-	// application order must not depend on map iteration order, or two
-	// runs of the same trial can taint the same record differently and the
-	// adversary's record-driven decisions diverge.
-	for len(d.ooo) > 0 {
-		var low uint64
-		found := false
-		for seq := range d.ooo {
-			if !found || seq < low {
-				low, found = seq, true
-			}
-		}
-		if low > d.nextSeq {
-			return // gap before the lowest chunk: nothing applicable
-		}
-		chunk := d.ooo[low]
-		delete(d.ooo, low)
-		if end := low + uint64(len(chunk.data)); end > d.nextSeq {
-			d.append(chunk.data[d.nextSeq-low:], chunk.tainted)
-		}
-	}
-}
-
-// parse cuts complete TLS records off the front of buf. The returned slice
-// is scratch reused by the next push; the caller consumes it synchronously.
-func (d *dirStream) parse() []RecordEvent {
-	out := d.evs[:0]
-	for {
-		rest := d.buf[d.off:]
-		hdr, ok := tlsrec.ParseHeader(rest)
-		if !ok {
-			break
-		}
-		total := tlsrec.HeaderSize + hdr.Length
-		if len(rest) < total {
-			break
-		}
-		plain := 0
-		if hdr.Type == tlsrec.ContentApplicationData && hdr.Length >= tlsrec.SealOverhead {
-			plain = hdr.Length - tlsrec.SealOverhead
-		}
-		tainted := false
-		for _, tb := range d.taint[d.off : d.off+total] {
-			if tb {
-				tainted = true
-				break
-			}
-		}
-		out = append(out, RecordEvent{
-			Type:     hdr.Type,
-			WireLen:  total,
-			PlainLen: plain,
-			Tainted:  tainted,
+		// The first chunk stored at a seq wins; the payload is copied
+		// because pooled segments are recycled after delivery.
+		i, found := slices.BinarySearchFunc(d.ooo, seq, func(c oooChunk, seq uint64) int {
+			return cmp.Compare(c.seq, seq)
 		})
-		d.off += total
-		if d.ck.Enabled() {
-			d.ck.CaptureRecord(d.ckDir, total, len(d.buf)-d.off)
+		if !found {
+			cp := append([]byte(nil), payload...)
+			d.ooo = slices.Insert(d.ooo, i, oooChunk{seq: seq, data: cp, tainted: tainted})
 		}
 	}
-	d.evs = out
-	return out
+}
+
+// append consumes fresh in-order bytes into the open record, emitting each
+// record it completes.
+func (d *dirStream) append(b []byte, tainted bool) {
+	d.nextSeq += uint64(len(b))
+	if d.ck.Enabled() {
+		limit := d.wire
+		if d.have < tlsrec.HeaderSize {
+			limit = tlsrec.HeaderSize
+		}
+		d.ck.CaptureAppend(d.ckDir, len(b), d.have, limit, d.nextSeq)
+	}
+	for len(b) > 0 {
+		d.tainted = d.tainted || tainted
+		if d.have < tlsrec.HeaderSize {
+			n := copy(d.hdr[d.have:], b)
+			d.have += n
+			b = b[n:]
+			if d.have < tlsrec.HeaderSize {
+				return
+			}
+			// ParseHeader never fails on a full header.
+			hdr, _ := tlsrec.ParseHeader(d.hdr[:])
+			d.typ, d.wire = hdr.Type, tlsrec.HeaderSize+hdr.Length
+		}
+		n := min(len(b), d.wire-d.have)
+		d.have += n
+		b = b[n:]
+		if d.have == d.wire {
+			d.emit(len(b))
+		}
+	}
+}
+
+// emit closes the open record; rest is how many appended bytes are not yet
+// consumed.
+func (d *dirStream) emit(rest int) {
+	plain := 0
+	if body := d.wire - tlsrec.HeaderSize; d.typ == tlsrec.ContentApplicationData && body >= tlsrec.SealOverhead {
+		plain = body - tlsrec.SealOverhead
+	}
+	d.evs = append(d.evs, RecordEvent{
+		Type:     d.typ,
+		WireLen:  d.wire,
+		PlainLen: plain,
+		Tainted:  d.tainted,
+	})
+	if d.ck.Enabled() {
+		d.ck.CaptureRecord(d.ckDir, d.wire, rest)
+	}
+	d.have, d.wire, d.tainted = 0, 0, false
+}
+
+// drain applies stored chunks lowest-seq first. When one in-order fill
+// makes several overlapping out-of-order chunks applicable at once, the
+// chunk that supplies an overlapped byte decides which record its taint
+// reaches — so the application order must be fixed, or two runs of the
+// same trial can taint the same record differently and the adversary's
+// record-driven decisions diverge.
+func (d *dirStream) drain() {
+	i := 0
+	for ; i < len(d.ooo) && d.ooo[i].seq <= d.nextSeq; i++ {
+		c := d.ooo[i]
+		if end := c.seq + uint64(len(c.data)); end > d.nextSeq {
+			d.append(c.data[d.nextSeq-c.seq:], c.tainted)
+		}
+	}
+	d.ooo = slices.Delete(d.ooo, 0, i)
 }

@@ -1,6 +1,7 @@
 package capture
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -222,27 +223,38 @@ func TestMonitorFragmentationProperty(t *testing.T) {
 
 // TestReassemblyTaintDeterministic pins the drain order of the out-of-order
 // buffer. When one in-order fill makes two overlapping stored chunks
-// applicable at once, the chunk applied first decides the taint of the
-// overlap; lowest-seq-first keeps that independent of map iteration order.
-// The old map-range drain tainted the same bytes differently run to run,
-// which rippled through record tainting into the adversary's decisions and
-// broke same-seed byte-identity across processes.
+// applicable at once, the chunk applied first decides which record the
+// overlap's taint reaches; lowest-seq-first keeps that fixed. The old
+// map-range drain tainted the same records differently run to run, which
+// rippled into the adversary's decisions and broke same-seed byte-identity
+// across processes.
 func TestReassemblyTaintDeterministic(t *testing.T) {
+	// Records A [0,210), B [210,220) and C [220,250).
+	var stream []byte
+	for _, wire := range []int{210, 10, 30} {
+		body := wire - tlsrec.HeaderSize
+		rec := make([]byte, wire)
+		rec[0], rec[1], rec[2], rec[3], rec[4] = byte(tlsrec.ContentApplicationData), 3, 3, byte(body>>8), byte(body)
+		stream = append(stream, rec...)
+	}
 	for i := 0; i < 200; i++ {
-		d := newDirStream()
-		d.ingest(150, make([]byte, 100), true) // retransmit, lands out of order
-		d.ingest(200, make([]byte, 20), false) // clean, overlaps the tail above
-		d.ingest(0, make([]byte, 210), false)  // fill: both chunks now applicable
-		if len(d.taint) != 250 {
-			t.Fatalf("iter %d: reassembled %d bytes, want 250", i, len(d.taint))
+		d := &dirStream{}
+		d.ingest(150, stream[150:250], true)  // retransmit, lands out of order
+		d.ingest(200, stream[200:220], false) // clean, overlaps the chunk above
+		d.ingest(0, stream[:210], false)      // fill: both chunks now applicable
+		// Lowest seq first: the tainted chunk supplies [210,250) and taints
+		// B and C; the clean chunk then adds nothing. The other order would
+		// leave B clean.
+		want := []RecordEvent{
+			{Type: tlsrec.ContentApplicationData, WireLen: 210, PlainLen: 205 - tlsrec.SealOverhead},
+			{Type: tlsrec.ContentApplicationData, WireLen: 10, Tainted: true},
+			{Type: tlsrec.ContentApplicationData, WireLen: 30, PlainLen: 25 - tlsrec.SealOverhead, Tainted: true},
 		}
-		for pos, tb := range d.taint {
-			if want := pos >= 210; tb != want {
-				t.Fatalf("iter %d: taint[%d] = %v, want %v (drain order leaked map order)", i, pos, tb, want)
-			}
+		if !slices.Equal(d.evs, want) {
+			t.Fatalf("iter %d: records %+v, want %+v", i, d.evs, want)
 		}
-		if len(d.ooo) != 0 {
-			t.Fatalf("iter %d: %d chunks left in ooo buffer", i, len(d.ooo))
+		if d.nextSeq != 250 || d.have != 0 || len(d.ooo) != 0 {
+			t.Fatalf("iter %d: nextSeq=%d open=%d ooo=%d, want 250/0/0", i, d.nextSeq, d.have, len(d.ooo))
 		}
 	}
 }

@@ -969,19 +969,21 @@ func (c *Checker) SchedulerStep(at time.Duration) {
 // ---------------------------------------------------------------------------
 // capture hooks
 
-// CaptureAppend observes bytes appended to a direction's reassembled
-// stream: the taint array must stay parallel to the buffer and nextSeq
-// must advance without gaps or overlaps.
-func (c *Checker) CaptureAppend(dir uint8, n, bufLen, taintLen int, nextSeq uint64) {
+// CaptureAppend observes n bytes appended to a direction's reassembled
+// stream, before the parser consumes them: nextSeq must advance without
+// gaps or overlaps, and the open record must not have consumed more than
+// its declared wire length (have bytes of limit; limit is the header size
+// while the header is incomplete).
+func (c *Checker) CaptureAppend(dir uint8, n, have, limit int, nextSeq uint64) {
 	if c == nil {
 		return
 	}
 	c.lock()
 	defer c.unlock()
 	s := &c.caps[dir&1]
-	if bufLen != taintLen {
-		c.violate("capture", "taint-misaligned",
-			"dir=%d buffer is %d bytes but taint array is %d", dir, bufLen, taintLen)
+	if have > limit {
+		c.violate("capture", "record-overrun",
+			"dir=%d open record consumed %d bytes but declares %d", dir, have, limit)
 	}
 	if s.init && nextSeq != s.nextSeq+uint64(n) {
 		c.violate("capture", "stream-discontinuity",
@@ -994,8 +996,10 @@ func (c *Checker) CaptureAppend(dir uint8, n, bufLen, taintLen int, nextSeq uint
 }
 
 // CaptureRecord observes a TLS record of wireLen bytes cut off the front
-// of a direction's buffer, leaving remaining buffered bytes. Records plus
-// the residue must exactly partition everything appended.
+// of a direction's stream, leaving remaining bytes appended but not yet in
+// a completed record (the open record's consumed bytes plus any not yet
+// consumed). Records plus the residue must exactly partition everything
+// appended.
 func (c *Checker) CaptureRecord(dir uint8, wireLen, remaining int) {
 	if c == nil {
 		return

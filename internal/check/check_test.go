@@ -57,7 +57,7 @@ func TestNilCheckerHooksAreNoOps(t *testing.T) {
 	c.LinkDelivered(0, 100)
 	c.LinkStatsFinal(0, 0, 0, 0, 0, 0, 0, 0, 0)
 	c.SchedulerStep(time.Second)
-	c.CaptureAppend(0, 1, 1, 1, 1)
+	c.CaptureAppend(0, 1, 0, 5, 1)
 	c.CaptureRecord(0, 1, 0)
 	if n := c.Finalize(); n != 0 {
 		t.Fatalf("nil Finalize = %d", n)
@@ -275,27 +275,27 @@ func TestSchedulerMonotonicity(t *testing.T) {
 }
 
 func TestCaptureRules(t *testing.T) {
-	// Parallel arrays and contiguous appends: clean.
+	// Contiguous appends into a record that fits its header: clean.
 	c := New(1, 0, nil)
-	c.CaptureAppend(DirC2S, 10, 10, 10, 1010)
-	c.CaptureAppend(DirC2S, 5, 15, 15, 1015)
+	c.CaptureAppend(DirC2S, 10, 0, 5, 1010)
+	c.CaptureAppend(DirC2S, 5, 10, 15, 1015)
 	c.CaptureRecord(DirC2S, 15, 0)
 	wantRules(t, c)
 
-	// Taint array misaligned with the buffer.
+	// The open record consumed more bytes than its header declares.
 	c2 := New(1, 0, nil)
-	c2.CaptureAppend(DirC2S, 10, 10, 9, 1010)
-	wantRules(t, c2, "capture/taint-misaligned")
+	c2.CaptureAppend(DirC2S, 10, 16, 15, 1010)
+	wantRules(t, c2, "capture/record-overrun")
 
 	// Sequence discontinuity.
 	c3 := New(1, 0, nil)
-	c3.CaptureAppend(DirC2S, 10, 10, 10, 1010)
-	c3.CaptureAppend(DirC2S, 10, 20, 20, 1025)
+	c3.CaptureAppend(DirC2S, 10, 0, 5, 1010)
+	c3.CaptureAppend(DirC2S, 10, 10, 20, 1025)
 	wantRules(t, c3, "capture/stream-discontinuity")
 
 	// Records failing to partition the appended bytes.
 	c4 := New(1, 0, nil)
-	c4.CaptureAppend(DirC2S, 20, 20, 20, 1020)
+	c4.CaptureAppend(DirC2S, 20, 0, 5, 1020)
 	c4.CaptureRecord(DirC2S, 15, 0)
 	wantRules(t, c4, "capture/record-partition")
 }

@@ -534,13 +534,14 @@ func (tb *Testbed) collect() *TrialResult {
 // against per-flow sums plus the shared bottleneck's aggregate stats.
 func (tb *Testbed) collectCapture() *TrialResult {
 	sp := tb.cfg.Perf.Start(perf.StageCapture)
+	dom := metrics.AnalyzeDoM(tb.Server.TxLog(), tb.Site.Sizes())
 	res := &TrialResult{
 		Perm:               append([]int(nil), tb.Plan.Perm...),
 		TrueSeq:            tb.Plan.EmblemRequestOrder(),
 		DisplaySeq:         tb.Plan.EmblemDisplayOrder(),
-		DoM:                metrics.DegreeOfMultiplexing(tb.Server.TxLog()),
-		BestDoM:            metrics.BestDoMPerObject(tb.Server.TxLog()),
-		BestCompleteDoM:    metrics.BestCompleteDoMPerObject(tb.Server.TxLog(), tb.Site.Sizes()),
+		DoM:                dom.PerInstance,
+		BestDoM:            dom.BestPerObject,
+		BestCompleteDoM:    dom.BestComplete,
 		Completed:          tb.Browser.Result().Completed,
 		Broken:             tb.Browser.Result().Broken,
 		BrokenReason:       tb.Browser.Result().BrokenReason,

@@ -112,7 +112,7 @@ func TestBaselineMultiplexingOccurs(t *testing.T) {
 		if tb.server.ActivePeak() < 2 {
 			t.Fatalf("seed %d: peak concurrency %d", seed, tb.server.ActivePeak())
 		}
-		dom := metrics.BestDoMPerObject(tb.server.TxLog())
+		dom := metrics.AnalyzeDoM(tb.server.TxLog(), nil).BestPerObject
 		if dom[website.TargetID] > 0 {
 			multiplexed++
 		}
@@ -164,7 +164,7 @@ func TestRequestSpacingSerializesTarget(t *testing.T) {
 		server.Start()
 		browser.Start()
 		sched.RunUntil(180 * time.Second)
-		dom := metrics.BestDoMPerObject(server.TxLog())
+		dom := metrics.AnalyzeDoM(server.TxLog(), nil).BestPerObject
 		if got, ok := dom[website.TargetID]; ok && got == 0 {
 			serialized++
 		}

@@ -70,7 +70,7 @@ func TestServerPushDefense(t *testing.T) {
 		t.Fatalf("pushed %d emblems, want %d", len(pushed), website.PartyCount)
 	}
 	// Pushed emblems leave together: they should interleave heavily.
-	dom := metrics.BestDoMPerObject(srv.TxLog())
+	dom := metrics.AnalyzeDoM(srv.TxLog(), nil).BestPerObject
 	interleaved := 0
 	for p := 0; p < website.PartyCount; p++ {
 		if dom[website.EmblemID(p)] > 0 {
@@ -237,7 +237,7 @@ func TestH1EndpointsServeFullPage(t *testing.T) {
 		t.Fatalf("completed %d/%d", len(cli.Completed()), len(plan.Steps))
 	}
 	// Sequential protocol: everything serialized, spans strictly ordered.
-	dom := metrics.BestDoMPerObject(srv.TxLog())
+	dom := metrics.AnalyzeDoM(srv.TxLog(), nil).BestPerObject
 	for _, o := range site.Objects {
 		if dom[o.ID] != 0 {
 			t.Fatalf("object %s multiplexed over HTTP/1.1 (dom=%v)", o.ID, dom[o.ID])

@@ -261,7 +261,7 @@ func H1Baseline(opts Options) (*Report, error) {
 		if srv.Err() != nil || cli.Err() != nil {
 			return fmt.Errorf("h1 trial %d: server=%v client=%v", t, srv.Err(), cli.Err())
 		}
-		dom := metrics.BestDoMPerObject(srv.TxLog())
+		dom := metrics.AnalyzeDoM(srv.TxLog(), nil).BestPerObject
 		matched := h1Identify(mon.Records(), site)
 		catalog := site.SizeToIdentity()
 		for _, obj := range site.Objects {

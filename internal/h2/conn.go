@@ -84,7 +84,9 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Handlers are the application callbacks. Any may be nil.
+// Handlers are the application callbacks. Any may be nil. A fields slice
+// handed to OnStreamHeaders or OnPushPromise is the connection's decode
+// scratch, valid only until the handler returns: copy what you keep.
 type Handlers struct {
 	// OnStreamHeaders delivers a decoded header block. For servers this
 	// is a request (a new Stream); for clients a response or trailers.
@@ -166,10 +168,12 @@ type Conn struct {
 	// parse loop (the public FrameReader.Next still allocates); wbuf backs
 	// emitFrame's serialization (consumers seal or copy synchronously);
 	// hencBuf backs header-block encoding, kept separate from wbuf because
-	// a block spans multiple emitFrame calls when CONTINUATION splits it.
+	// a block spans multiple emitFrame calls when CONTINUATION splits it;
+	// hdecBuf backs the fields of each decoded header block.
 	scratchFrame Frame
 	wbuf         []byte
 	hencBuf      []byte
+	hdecBuf      []HeaderField
 
 	tr        *trace.Tracer
 	traceName string

@@ -334,7 +334,7 @@ func (c *Conn) processContinuation(f *Frame) error {
 }
 
 func (c *Conn) finishHeaderBlock(s *Stream, block []byte, endStream bool) error {
-	fields, err := c.hdec.Decode(block)
+	fields, err := c.decodeBlock(block)
 	if err != nil {
 		return ConnectionError{ErrCodeCompression, err.Error()}
 	}
@@ -434,8 +434,17 @@ func (c *Conn) processPushPromise(f *Frame) error {
 	return c.finishPushPromise(parent, promised, f.Data)
 }
 
+// decodeBlock decodes a header block into the connection's field scratch,
+// which the next block overwrites: handlers see fields only until they
+// return.
+func (c *Conn) decodeBlock(block []byte) ([]HeaderField, error) {
+	fields, err := c.hdec.AppendDecode(c.hdecBuf[:0], block)
+	c.hdecBuf = fields[:0]
+	return fields, err
+}
+
 func (c *Conn) finishPushPromise(parent, promised *Stream, block []byte) error {
-	fields, err := c.hdec.Decode(block)
+	fields, err := c.decodeBlock(block)
 	if err != nil {
 		return ConnectionError{ErrCodeCompression, err.Error()}
 	}

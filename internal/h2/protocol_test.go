@@ -27,7 +27,7 @@ func TestHPACKContinuityAcrossResetStreams(t *testing.T) {
 	})
 	w.client.SetHandlers(Handlers{
 		OnStreamHeaders: func(s *Stream, fields []HeaderField, endStream bool) {
-			responses[s.ID()] = fields
+			responses[s.ID()] = append([]HeaderField(nil), fields...)
 		},
 		OnStreamReset: func(s *Stream, code ErrCode, remote bool) {},
 	})
@@ -234,7 +234,7 @@ func TestTrailersDelivered(t *testing.T) {
 	w.client.SetHandlers(Handlers{
 		OnStreamHeaders: func(s *Stream, fields []HeaderField, endStream bool) {
 			headerEvents++
-			lastFields = fields
+			lastFields = append([]HeaderField(nil), fields...)
 		},
 	})
 	w.start()

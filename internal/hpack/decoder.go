@@ -51,7 +51,15 @@ func (d *Decoder) SetAllowedMaxTableSize(n int) {
 
 // Decode parses one complete header block.
 func (d *Decoder) Decode(block []byte) ([]HeaderField, error) {
-	var fields []HeaderField
+	return d.AppendDecode(nil, block)
+}
+
+// AppendDecode parses one complete header block, appends its fields to dst
+// and returns the extended slice. Decoding into a reused slice makes a
+// block of indexed fields allocation-free. On error it returns dst as it
+// was passed, with the error.
+func (d *Decoder) AppendDecode(dst []HeaderField, block []byte) ([]HeaderField, error) {
+	fields := dst
 	listSize := 0
 	first := true
 	for len(block) > 0 {
@@ -60,14 +68,14 @@ func (d *Decoder) Decode(block []byte) ([]HeaderField, error) {
 		case b&0x80 != 0: // indexed field (§6.1)
 			idx, rest, err := readInteger(block, 7)
 			if err != nil {
-				return nil, err
+				return dst, err
 			}
 			if idx == 0 {
-				return nil, fmt.Errorf("%w: index 0", ErrInvalidIndex)
+				return dst, fmt.Errorf("%w: index 0", ErrInvalidIndex)
 			}
 			f, ok := d.table.get(idx)
 			if !ok {
-				return nil, fmt.Errorf("%w: %d", ErrInvalidIndex, idx)
+				return dst, fmt.Errorf("%w: %d", ErrInvalidIndex, idx)
 			}
 			fields = append(fields, f)
 			listSize += f.size()
@@ -75,7 +83,7 @@ func (d *Decoder) Decode(block []byte) ([]HeaderField, error) {
 		case b&0xc0 == 0x40: // literal with incremental indexing (§6.2.1)
 			f, rest, err := d.readLiteral(block, 6)
 			if err != nil {
-				return nil, err
+				return dst, err
 			}
 			d.table.add(f)
 			fields = append(fields, f)
@@ -83,21 +91,21 @@ func (d *Decoder) Decode(block []byte) ([]HeaderField, error) {
 			block = rest
 		case b&0xe0 == 0x20: // dynamic table size update (§6.3)
 			if !first {
-				return nil, errors.New("hpack: table size update not at block start")
+				return dst, errors.New("hpack: table size update not at block start")
 			}
 			n, rest, err := readInteger(block, 5)
 			if err != nil {
-				return nil, err
+				return dst, err
 			}
 			if n > d.limit {
-				return nil, fmt.Errorf("%w: %d > %d", ErrResizeExceedsLimit, n, d.limit)
+				return dst, fmt.Errorf("%w: %d > %d", ErrResizeExceedsLimit, n, d.limit)
 			}
 			d.table.setMaxSize(n)
 			block = rest
 		case b&0xf0 == 0x10: // never-indexed literal (§6.2.3)
 			f, rest, err := d.readLiteral(block, 4)
 			if err != nil {
-				return nil, err
+				return dst, err
 			}
 			f.Sensitive = true
 			fields = append(fields, f)
@@ -106,7 +114,7 @@ func (d *Decoder) Decode(block []byte) ([]HeaderField, error) {
 		default: // 0000: literal without indexing (§6.2.2)
 			f, rest, err := d.readLiteral(block, 4)
 			if err != nil {
-				return nil, err
+				return dst, err
 			}
 			fields = append(fields, f)
 			listSize += f.size()
@@ -114,7 +122,7 @@ func (d *Decoder) Decode(block []byte) ([]HeaderField, error) {
 		}
 		first = false
 		if listSize > d.MaxHeaderListSize {
-			return nil, fmt.Errorf("hpack: header list exceeds %d bytes", d.MaxHeaderListSize)
+			return dst, fmt.Errorf("hpack: header list exceeds %d bytes", d.MaxHeaderListSize)
 		}
 	}
 	return fields, nil

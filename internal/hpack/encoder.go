@@ -53,7 +53,7 @@ func (e *Encoder) encodeField(dst []byte, f HeaderField) []byte {
 		return e.encodeLiteral(dst, 0x10, 4, f, false)
 	}
 	// Exact match: indexed field (§6.1).
-	if idx := staticExact[f.Name+"\x00"+f.Value]; idx != 0 && staticTable[idx-1].Value == f.Value {
+	if idx := staticExact[fieldKey{f.Name, f.Value}]; idx != 0 {
 		return appendInteger(dst, 0x80, 7, idx)
 	}
 	if idx := e.table.findExact(f); idx != 0 {

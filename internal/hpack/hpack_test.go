@@ -191,7 +191,7 @@ func TestTableSizeUpdate(t *testing.T) {
 	if !fieldsEqualIgnoreSensitive(got, requestFields("/a")) {
 		t.Fatal("mismatch after table flush")
 	}
-	if dec.table.size != 0 || len(dec.table.entries) != 0 {
+	if dec.table.size != 0 || dec.table.n != 0 {
 		t.Fatalf("decoder table not flushed: size=%d", dec.table.size)
 	}
 	// Growing again still round-trips.
@@ -238,8 +238,8 @@ func TestOversizeEntryEmptiesTable(t *testing.T) {
 	tbl := newDynamicTable(64)
 	tbl.add(HeaderField{Name: "a", Value: "b"})
 	tbl.add(HeaderField{Name: "huge", Value: strings.Repeat("v", 200)})
-	if len(tbl.entries) != 0 || tbl.size != 0 {
-		t.Fatalf("table not emptied: %d entries, %d bytes", len(tbl.entries), tbl.size)
+	if tbl.n != 0 || tbl.size != 0 {
+		t.Fatalf("table not emptied: %d entries, %d bytes", tbl.n, tbl.size)
 	}
 }
 

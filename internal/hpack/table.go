@@ -88,17 +88,21 @@ var staticTable = []HeaderField{
 // staticTableSize is the number of static entries (61).
 const staticTableSize = 61
 
-// staticExact maps "name\x00value" to its static index for exact matches;
-// staticName maps a name to the lowest static index with that name.
+// fieldKey is a (name, value) pair as a map key.
+type fieldKey struct{ name, value string }
+
+// staticExact maps a (name, value) pair to its static index for exact
+// matches; staticName maps a name to the lowest static index with that
+// name.
 var (
 	staticExact = buildStaticExact()
 	staticName  = buildStaticName()
 )
 
-func buildStaticExact() map[string]int {
-	m := make(map[string]int, len(staticTable))
+func buildStaticExact() map[fieldKey]int {
+	m := make(map[fieldKey]int, len(staticTable))
 	for i, f := range staticTable {
-		key := f.Name + "\x00" + f.Value
+		key := fieldKey{f.Name, f.Value}
 		if _, ok := m[key]; !ok {
 			m[key] = i + 1
 		}
@@ -116,10 +120,14 @@ func buildStaticName() map[string]int {
 	return m
 }
 
-// dynamicTable is the shared dynamic-table logic: newest entry first, so
-// absolute HPACK index = staticTableSize + 1 + position.
+// dynamicTable is the shared dynamic-table logic: a ring buffer whose
+// position 0 is the newest entry, so absolute HPACK index = staticTableSize
+// + 1 + position. Inserting and evicting move no entries, and the ring
+// only grows, so a table in steady state does not allocate.
 type dynamicTable struct {
-	entries []HeaderField // entries[0] is the newest
+	ring    []HeaderField // len is 0 or a power of two
+	head    int           // ring index of position 0 (the newest entry)
+	n       int           // entries held
 	size    int
 	maxSize int
 }
@@ -128,24 +136,39 @@ func newDynamicTable(maxSize int) *dynamicTable {
 	return &dynamicTable{maxSize: maxSize}
 }
 
+// at returns the entry at position pos (0 is the newest), pos < t.n.
+func (t *dynamicTable) at(pos int) *HeaderField {
+	return &t.ring[(t.head+pos)&(len(t.ring)-1)]
+}
+
 // add inserts an entry, evicting from the oldest end until it fits. An
 // entry larger than the table empties the table (RFC 7541 §4.4).
 func (t *dynamicTable) add(f HeaderField) {
 	sz := f.size()
-	for t.size+sz > t.maxSize && len(t.entries) > 0 {
+	for t.size+sz > t.maxSize && t.n > 0 {
 		t.evictOldest()
 	}
 	if sz > t.maxSize {
 		return
 	}
-	t.entries = append([]HeaderField{f}, t.entries...)
+	if t.n == len(t.ring) {
+		grown := make([]HeaderField, max(8, 2*len(t.ring)))
+		for pos := 0; pos < t.n; pos++ {
+			grown[pos] = *t.at(pos)
+		}
+		t.ring, t.head = grown, 0
+	}
+	t.head = (t.head - 1) & (len(t.ring) - 1)
+	t.ring[t.head] = f
+	t.n++
 	t.size += sz
 }
 
 func (t *dynamicTable) evictOldest() {
-	last := len(t.entries) - 1
-	t.size -= t.entries[last].size()
-	t.entries = t.entries[:last]
+	last := t.at(t.n - 1)
+	t.size -= last.size()
+	*last = HeaderField{} // drop the strings
+	t.n--
 }
 
 // setMaxSize resizes the table, evicting as needed.
@@ -163,18 +186,18 @@ func (t *dynamicTable) get(index int) (HeaderField, bool) {
 		return staticTable[index-1], true
 	}
 	pos := index - staticTableSize - 1
-	if pos < 0 || pos >= len(t.entries) {
+	if pos < 0 || pos >= t.n {
 		return HeaderField{}, false
 	}
-	return t.entries[pos], true
+	return *t.at(pos), true
 }
 
 // findExact returns the absolute index of an exact (name, value) match in
 // the dynamic table, or 0.
 func (t *dynamicTable) findExact(f HeaderField) int {
-	for i, e := range t.entries {
-		if e.Name == f.Name && e.Value == f.Value {
-			return staticTableSize + 1 + i
+	for pos := 0; pos < t.n; pos++ {
+		if e := t.at(pos); e.Name == f.Name && e.Value == f.Value {
+			return staticTableSize + 1 + pos
 		}
 	}
 	return 0
@@ -183,9 +206,9 @@ func (t *dynamicTable) findExact(f HeaderField) int {
 // findName returns the absolute index of a name match in the dynamic
 // table, or 0.
 func (t *dynamicTable) findName(name string) int {
-	for i, e := range t.entries {
-		if e.Name == name {
-			return staticTableSize + 1 + i
+	for pos := 0; pos < t.n; pos++ {
+		if t.at(pos).Name == name {
+			return staticTableSize + 1 + pos
 		}
 	}
 	return 0

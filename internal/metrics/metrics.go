@@ -2,11 +2,21 @@
 // degree-of-multiplexing metric (§II-A) computed from ground-truth
 // transmission logs, plus the small summary statistics the experiment
 // tables report.
+//
+// AnalyzeDoM computes every DoM view of a log in one pass: it groups the
+// spans by instance, sorts the instance envelopes' endpoints once, and
+// sweeps them for the byte ranges that two or more envelopes cover. A run
+// of an instance's bytes lies inside its own envelope, so its isolated
+// bytes are its length minus its overlap with those ranges. The cost is
+// O(S log S) in the span count, where recomputing the union of the other
+// envelopes per instance would be O(I² log I) in the instance count.
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -32,6 +42,22 @@ type TxSpan struct {
 // interval is a half-open byte range [lo, hi).
 type interval struct{ lo, hi int64 }
 
+// DoMReport is the three degree-of-multiplexing views of one transmission
+// log, all computed by one AnalyzeDoM pass.
+type DoMReport struct {
+	// PerInstance is DoM per instance (DegreeOfMultiplexing).
+	PerInstance map[string]float64
+	// BestPerObject is the minimum DoM over each object's instances: the
+	// attacker succeeds if *any* serving of the object (including a
+	// retransmitted copy, §IV-C) transmits serialized.
+	BestPerObject map[string]float64
+	// BestComplete is BestPerObject restricted to complete servings, whose
+	// spans sum to the object's full size. A partially-transmitted copy —
+	// the server stopped mid-object when the stream was reset — cannot
+	// leak the size even when its fragment happens to be contiguous.
+	BestComplete map[string]float64
+}
+
 // DegreeOfMultiplexing computes, per instance, how much of the object is
 // interleaved with other objects in the stream (§II-A). The value is
 //
@@ -45,135 +71,163 @@ type interval struct{ lo, hi int64 }
 // attack (Fig. 1) reads the size; any positive value breaks that
 // bookkeeping.
 func DegreeOfMultiplexing(spans []TxSpan) map[string]float64 {
-	byInstance := make(map[string][]TxSpan)
+	return AnalyzeDoM(spans, nil).PerInstance
+}
+
+// domInstance is one instance's share of a transmission log.
+type domInstance struct {
+	name       string
+	obj        string // ObjectID of the instance's last span
+	bytes      int    // Len summed over all its spans
+	env        interval
+	n          int // spans with Len > 0
+	start, end int // its pieces are pieces[start:end]
+}
+
+// AnalyzeDoM computes all three DoM maps of spans in one pass; sizes
+// (object id → size) decides which instances are complete, and nil counts
+// every instance as complete.
+//
+// An instance's runs lie inside its own envelope, so a run byte is covered
+// by *another* instance's envelope exactly where at least two envelopes
+// cover it. One sweep over the sorted envelope endpoints yields those
+// ≥2-covered ranges, and each run's isolated bytes are its length minus
+// its overlap with them. Cost is O(S log S) in the span count. Every
+// count is an exact integer, so each DoM is the same float any equivalent
+// computation gives.
+func AnalyzeDoM(spans []TxSpan, sizes map[string]int) DoMReport {
+	// Group by instance in first-appearance order. Every span sets the
+	// instance's object and byte count; only positive-length spans make
+	// pieces and envelopes.
+	index := make(map[string]int)
+	var insts []domInstance
+	for _, s := range spans {
+		i, ok := index[s.Instance]
+		if !ok {
+			i = len(insts)
+			index[s.Instance] = i
+			insts = append(insts, domInstance{name: s.Instance, env: interval{lo: math.MaxInt64, hi: math.MinInt64}})
+		}
+		in := &insts[i]
+		in.obj = s.ObjectID
+		in.bytes += s.Len
+		if s.Len <= 0 {
+			continue
+		}
+		in.n++
+		in.env.lo = min(in.env.lo, s.Offset)
+		in.env.hi = max(in.env.hi, s.Offset+int64(s.Len))
+	}
+	// Counting-sort the pieces into per-instance blocks, keeping emission
+	// order within each block, and collect the envelope endpoints.
+	total := 0
+	var los, his []int64
+	for i := range insts {
+		insts[i].start, insts[i].end = total, total
+		total += insts[i].n
+		if insts[i].n > 0 {
+			los = append(los, insts[i].env.lo)
+			his = append(his, insts[i].env.hi)
+		}
+	}
+	pieces := make([]interval, total)
 	for _, s := range spans {
 		if s.Len <= 0 {
 			continue
 		}
-		byInstance[s.Instance] = append(byInstance[s.Instance], s)
+		in := &insts[index[s.Instance]]
+		pieces[in.end] = interval{lo: s.Offset, hi: s.Offset + int64(s.Len)}
+		in.end++
 	}
-	// Envelope [min, max) per instance.
-	envelopes := make(map[string]interval, len(byInstance))
-	for inst, ss := range byInstance {
-		env := interval{lo: math.MaxInt64, hi: math.MinInt64}
-		for _, s := range ss {
-			if s.Offset < env.lo {
-				env.lo = s.Offset
-			}
-			if end := s.Offset + int64(s.Len); end > env.hi {
-				env.hi = end
-			}
-		}
-		envelopes[inst] = env
+	multi := multiCovered(los, his)
+
+	rep := DoMReport{
+		PerInstance:   make(map[string]float64, len(los)),
+		BestPerObject: make(map[string]float64),
+		BestComplete:  make(map[string]float64),
 	}
-	out := make(map[string]float64, len(byInstance))
-	for inst, ss := range byInstance {
-		others := make([]interval, 0, len(envelopes)-1)
-		for other, env := range envelopes {
-			if other != inst {
-				others = append(others, env)
-			}
-		}
-		merged := mergeIntervals(others)
-		// Spans arrive in emission order = offset order; merge
-		// offset-contiguous spans into runs.
-		sort.Slice(ss, func(i, j int) bool { return ss[i].Offset < ss[j].Offset })
-		var total, bestIsolated int64
-		run := interval{lo: ss[0].Offset, hi: ss[0].Offset}
-		flush := func() {
-			iso := (run.hi - run.lo) - overlap(run, merged)
-			if iso > bestIsolated {
-				bestIsolated = iso
-			}
-		}
-		for _, s := range ss {
-			total += int64(s.Len)
-			if s.Offset != run.hi {
-				flush()
-				run = interval{lo: s.Offset, hi: s.Offset}
-			}
-			run.hi = s.Offset + int64(s.Len)
-		}
-		flush()
-		if total == 0 {
-			out[inst] = 0
+	for _, in := range insts {
+		if in.n == 0 {
 			continue
 		}
-		out[inst] = 1 - float64(bestIsolated)/float64(total)
+		d := isolatedDoM(pieces[in.start:in.end], multi)
+		rep.PerInstance[in.name] = d
+		keepMin(rep.BestPerObject, in.obj, d)
+		if sizes == nil || in.bytes == sizes[in.obj] {
+			keepMin(rep.BestComplete, in.obj, d)
+		}
+	}
+	return rep
+}
+
+func keepMin(m map[string]float64, k string, v float64) {
+	if cur, ok := m[k]; !ok || v < cur {
+		m[k] = v
+	}
+}
+
+// multiCovered returns, in order, the disjoint byte ranges that at least
+// two of the envelopes [los[k], his[k]) cover. It sorts los and his.
+func multiCovered(los, his []int64) []interval {
+	slices.Sort(los)
+	slices.Sort(his)
+	var out []interval
+	depth, i, j := 0, 0, 0
+	var open int64
+	for j < len(his) {
+		pos := his[j]
+		if i < len(los) && los[i] < pos {
+			pos = los[i]
+		}
+		before := depth
+		for ; i < len(los) && los[i] == pos; i++ {
+			depth++
+		}
+		for ; j < len(his) && his[j] == pos; j++ {
+			depth--
+		}
+		switch {
+		case before < 2 && depth >= 2:
+			open = pos
+		case before >= 2 && depth < 2:
+			out = append(out, interval{lo: open, hi: pos})
+		}
 	}
 	return out
 }
 
-// BestDoMPerObject reduces instance-level DoM to the minimum per object:
-// the attacker succeeds if *any* serving of the object (including a
-// retransmitted copy, §IV-C) transmits serialized.
-func BestDoMPerObject(spans []TxSpan) map[string]float64 {
-	return bestDoM(spans, nil)
-}
-
-// BestCompleteDoMPerObject is BestDoMPerObject restricted to complete
-// servings: an instance only counts if its spans sum to the object's full
-// size (sizes maps object id → size). A partially-transmitted copy — the
-// server stopped mid-object when the stream was reset — cannot leak the
-// size even when its fragment happens to be contiguous.
-func BestCompleteDoMPerObject(spans []TxSpan, sizes map[string]int) map[string]float64 {
-	return bestDoM(spans, sizes)
-}
-
-func bestDoM(spans []TxSpan, sizes map[string]int) map[string]float64 {
-	dom := DegreeOfMultiplexing(spans)
-	instObj := make(map[string]string)
-	instBytes := make(map[string]int)
-	for _, s := range spans {
-		instObj[s.Instance] = s.ObjectID
-		instBytes[s.Instance] += s.Len
+// isolatedDoM is one instance's DoM from its pieces (in emission order)
+// and the ≥2-covered ranges. Pieces are sorted by offset and merged into
+// offset-contiguous runs; the run with the most bytes outside multi sets
+// the value.
+func isolatedDoM(pieces []interval, multi []interval) float64 {
+	slices.SortFunc(pieces, func(a, b interval) int { return cmp.Compare(a.lo, b.lo) })
+	var total, best int64
+	run := interval{lo: pieces[0].lo, hi: pieces[0].lo}
+	flush := func() {
+		best = max(best, (run.hi-run.lo)-overlap(run, multi))
 	}
-	best := make(map[string]float64)
-	for inst, d := range dom {
-		obj := instObj[inst]
-		if sizes != nil && instBytes[inst] != sizes[obj] {
-			continue
+	for _, p := range pieces {
+		total += p.hi - p.lo
+		if p.lo != run.hi {
+			flush()
+			run = interval{lo: p.lo, hi: p.lo}
 		}
-		if cur, ok := best[obj]; !ok || d < cur {
-			best[obj] = d
-		}
+		run.hi = p.hi
 	}
-	return best
+	flush()
+	return 1 - float64(best)/float64(total)
 }
 
-func mergeIntervals(in []interval) []interval {
-	if len(in) == 0 {
-		return nil
-	}
-	sort.Slice(in, func(i, j int) bool { return in[i].lo < in[j].lo })
-	out := in[:1]
-	for _, iv := range in[1:] {
-		last := &out[len(out)-1]
-		if iv.lo <= last.hi {
-			if iv.hi > last.hi {
-				last.hi = iv.hi
-			}
-			continue
-		}
-		out = append(out, iv)
-	}
-	return out
-}
-
-// overlap returns how many bytes of iv fall inside the merged set.
+// overlap returns how many bytes of iv fall inside merged, a sorted list
+// of disjoint intervals.
 func overlap(iv interval, merged []interval) int64 {
+	k, _ := slices.BinarySearchFunc(merged, iv.lo, func(m interval, lo int64) int {
+		return cmp.Compare(m.hi, lo+1)
+	})
 	var n int64
-	for _, m := range merged {
-		lo, hi := iv.lo, iv.hi
-		if m.lo > lo {
-			lo = m.lo
-		}
-		if m.hi < hi {
-			hi = m.hi
-		}
-		if hi > lo {
-			n += hi - lo
-		}
+	for ; k < len(merged) && merged[k].lo < iv.hi; k++ {
+		n += max(0, min(iv.hi, merged[k].hi)-max(iv.lo, merged[k].lo))
 	}
 	return n
 }

@@ -71,7 +71,7 @@ func TestBestDoMPerObject(t *testing.T) {
 		{Instance: "o#0", ObjectID: "o", Offset: 200, Len: 100},
 		{Instance: "o#1", ObjectID: "o", Offset: 1000, Len: 200},
 	}
-	best := BestDoMPerObject(spans)
+	best := AnalyzeDoM(spans, nil).BestPerObject
 	if best["o"] != 0 {
 		t.Fatalf("best dom for o = %v, want 0", best["o"])
 	}
@@ -215,17 +215,17 @@ func TestBestCompleteDoMRequiresFullServing(t *testing.T) {
 		{Instance: "x#0", ObjectID: "x", Offset: 1150, Len: 50},
 		{Instance: "o#1", ObjectID: "o", Offset: 1200, Len: 150},
 	}
-	best := BestCompleteDoMPerObject(spans, sizes)
+	best := AnalyzeDoM(spans, sizes).BestComplete
 	if dom, ok := best["o"]; !ok || dom == 0 {
 		t.Fatalf("complete dom = %v ok=%t; the contiguous partial must not count", dom, ok)
 	}
 	// The plain variant would report 0 via the partial instance.
-	if BestDoMPerObject(spans)["o"] != 0 {
+	if AnalyzeDoM(spans, nil).BestPerObject["o"] != 0 {
 		t.Fatal("plain best dom should see the partial as serialized")
 	}
 	// Add a complete serialized serving: now it counts.
 	spans = append(spans, TxSpan{Instance: "o#2", ObjectID: "o", Offset: 5000, Len: 300})
-	if dom := BestCompleteDoMPerObject(spans, sizes)["o"]; dom != 0 {
+	if dom := AnalyzeDoM(spans, sizes).BestComplete["o"]; dom != 0 {
 		t.Fatalf("complete serialized serving not recognized: %v", dom)
 	}
 }
