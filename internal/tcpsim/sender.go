@@ -281,19 +281,19 @@ func (c *Conn) fastRetransmit() {
 	c.traceCwnd("fast-retransmit")
 }
 
-// retransmitFirstUnacked re-sends one MSS (or the FIN) starting at sndUna.
+// retransmitFirstUnacked re-sends up to one MSS of already-sent bytes (or
+// the FIN) starting at sndUna.
 func (c *Conn) retransmitFirstUnacked() {
 	if c.finSent && c.sndUna == c.finSeq {
 		c.transmit(c.makeSeg(FlagACK|FlagFIN, c.finSeq, c.rcvNxt, c.advertisedWindow(), nil, true))
 		c.armRTOReset()
 		return
 	}
-	n := c.Buffered()
-	if n == 0 {
+	// Only bytes sent before are retransmissions: buffered bytes past
+	// maxSndNxt go out, unflagged, through trySend.
+	n := min(c.Buffered(), c.cfg.MSS, int(c.maxSndNxt-c.sndUna))
+	if n <= 0 {
 		return
-	}
-	if n > c.cfg.MSS {
-		n = c.cfg.MSS
 	}
 	payload := c.arena.Bytes(n)
 	copy(payload, c.sendBuf[c.sendOff:c.sendOff+n])

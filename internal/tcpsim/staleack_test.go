@@ -86,3 +86,42 @@ func TestDrainOutOfOrderDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestRetransmitNeverSendsUnsentBytes pins retransmitFirstUnacked (fast
+// retransmit, NewReno partial ACKs and the tail-loss probe) to bytes that
+// were sent before. With 84 bytes in flight and more buffered behind them,
+// it used to resend a full MSS from sndUna: bytes past maxSndNxt went out
+// flagged as retransmissions, and trySend later sent them again unflagged
+// (the checker's tcpsim/refresh-overlap rule).
+func TestRetransmitNeverSendsUnsentBytes(t *testing.T) {
+	n := newTestNet(t, fastLink(), Config{})
+	n.pair.Open()
+	n.sched.Run()
+	c := n.pair.Server
+	var sent []Segment
+	out := c.out
+	c.out = func(s *Segment) {
+		sent = append(sent, *s)
+		out(s)
+	}
+	c.cwnd = 84 // only the first 84 bytes fit the window
+	data := make([]byte, 3000)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	_ = c.Write(data)
+	if flight := c.maxSndNxt - c.sndUna; flight != 84 {
+		t.Fatalf("in flight after the write: %d bytes, want 84", flight)
+	}
+	c.retransmitFirstUnacked()
+	for _, s := range sent {
+		if end := s.Seq + uint64(len(s.Payload)); s.Retransmit && end > c.maxSndNxt {
+			t.Fatalf("retransmission [%d,%d) reaches past maxSndNxt %d: never-sent bytes flagged as retransmitted",
+				s.Seq, end, c.maxSndNxt)
+		}
+	}
+	n.sched.RunUntil(10 * time.Second)
+	if !bytes.Equal(n.toCli.Bytes(), data) {
+		t.Fatalf("transfer corrupted: client received %d of %d bytes", n.toCli.Len(), len(data))
+	}
+}
