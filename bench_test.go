@@ -13,6 +13,7 @@ import (
 	"h2privacy/internal/flowseq"
 	"h2privacy/internal/h2"
 	"h2privacy/internal/hpack"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/metrics"
 	"h2privacy/internal/obs"
 	"h2privacy/internal/simtime"
@@ -232,7 +233,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			tr := trace.New(nil, trace.Config{})
-			if _, err := core.RunTrial(core.TrialConfig{Seed: int64(i), Attack: &plan, Trace: tr}); err != nil {
+			if _, err := core.RunTrial(core.TrialConfig{Seed: int64(i), Attack: &plan, Bundle: instr.Bundle{Trace: tr}}); err != nil {
 				b.Fatal(err)
 			}
 			if tr.Len() == 0 {
@@ -274,7 +275,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		reg := obs.NewRegistry()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.RunTrial(core.TrialConfig{Seed: int64(i), Attack: &plan, Metrics: reg}); err != nil {
+			if _, err := core.RunTrial(core.TrialConfig{Seed: int64(i), Attack: &plan, Bundle: instr.Bundle{Metrics: reg}}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -321,8 +322,7 @@ func BenchmarkCheckOverhead(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			rec := check.NewRecorder()
-			cfg := core.TrialConfig{Seed: int64(i), Attack: &plan,
-				Check: check.New(int64(i), 0, rec)}
+			cfg := core.TrialConfig{Seed: int64(i), Attack: &plan, Bundle: instr.Bundle{Check: check.New(int64(i), 0, rec)}}
 			res, err := core.RunTrial(cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -431,8 +431,7 @@ func BenchmarkFlowseqOverhead(b *testing.B) {
 		col := flowseq.NewCollector()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := core.RunTrial(core.TrialConfig{Seed: int64(i), Attack: &plan,
-				Flows: flowseq.New(i, col)})
+			res, err := core.RunTrial(core.TrialConfig{Seed: int64(i), Attack: &plan, Bundle: instr.Bundle{Flows: flowseq.New(i, col)}})
 			if err != nil {
 				b.Fatal(err)
 			}

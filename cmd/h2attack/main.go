@@ -29,6 +29,7 @@ import (
 	"h2privacy/internal/core"
 	"h2privacy/internal/experiment"
 	"h2privacy/internal/flowseq"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/metrics"
 	"h2privacy/internal/netsim"
 	"h2privacy/internal/obs"
@@ -222,7 +223,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := core.TrialConfig{Seed: *seed, Attack: &plan, Scenario: *scenario, Trace: tracer, Metrics: reg, Check: ck, Flows: fl,
+	cfg := core.TrialConfig{Seed: *seed, Attack: &plan, Scenario: *scenario,
+		Bundle:     instr.Bundle{Trace: tracer, Metrics: reg, Check: ck, Flows: fl},
 		StepBudget: sf.StepBudget, WallDeadline: sf.TrialDeadline, Fleet: fleetCfg}
 	if chaosFor != nil {
 		cfg.Chaos = chaosFor(0)

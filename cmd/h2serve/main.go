@@ -17,6 +17,7 @@ import (
 	"h2privacy/internal/flowseq"
 	"h2privacy/internal/h2"
 	"h2privacy/internal/h2/h2sync"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/obs"
 	"h2privacy/internal/website"
 )
@@ -96,7 +97,8 @@ func run(addr string, tf cliutil.TraceFlags, df cliutil.DebugFlags, cf cliutil.C
 		defer ds.Close()
 	}
 	srv := &h2sync.Server{
-		Config: h2.Config{Tracer: tracer, TraceName: "server", Check: ck, Flows: fl},
+		Config:      h2.Config{TraceName: "server"},
+		Instruments: instr.Bundle{Trace: tracer, Check: ck, Flows: fl},
 		Handler: func(w *h2sync.ResponseWriter, r *h2sync.Request) {
 			obj := site.Lookup(r.Path)
 			if obj == nil {

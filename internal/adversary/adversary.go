@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"h2privacy/internal/capture"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/netsim"
 	"h2privacy/internal/obs"
 	"h2privacy/internal/simtime"
@@ -61,7 +62,8 @@ type Controller struct {
 	ctJittered *trace.Counter
 
 	// First-class metrics (nil when no registry is armed; every method on
-	// a nil instrument is a free no-op).
+	// a nil instrument is a free no-op). reg is kept for the attack driver.
+	reg       *obs.Registry
 	mDrops    *obs.Counter
 	mDelayed  *obs.Counter
 	mJittered *obs.Counter
@@ -77,14 +79,32 @@ type ControllerStats struct {
 	ThrottleEvents int
 }
 
-// NewController builds a controller for the given path.
-func NewController(sched *simtime.Scheduler, rng *simtime.Rand, path *netsim.Path) *Controller {
+// NewController builds a controller for the given path. ins.Trace receives
+// knob changes, per-GET delays and drop decisions as events. ins.Metrics
+// counts every intervention (drops, delayed GETs, jittered packets,
+// throttle changes) as it happens, so a live /metrics scrape shows the
+// attack's footprint mid-trial; a driver built on the controller adds its
+// phase metrics to the same registry.
+func NewController(sched *simtime.Scheduler, rng *simtime.Rand, path *netsim.Path, ins instr.Bundle) *Controller {
 	c := &Controller{
 		sched:      sched,
 		rng:        rng,
 		path:       path,
 		randJitter: make(map[netsim.Direction]time.Duration),
+		tr:         ins.Trace,
+		reg:        ins.Metrics,
 	}
+	c.ctDrops = c.tr.Counter(trace.LayerAdversary, "dropped")
+	c.ctDelayed = c.tr.Counter(trace.LayerAdversary, "delayed-gets")
+	c.ctJittered = c.tr.Counter(trace.LayerAdversary, "jittered")
+	c.mDrops = c.reg.Counter("h2privacy_adversary_drops_total",
+		"Packets dropped by the adversary's targeted-drop window.")
+	c.mDelayed = c.reg.Counter("h2privacy_adversary_delayed_gets_total",
+		"GET requests delayed by the per-request jitter schedule.")
+	c.mJittered = c.reg.Counter("h2privacy_adversary_jittered_packets_total",
+		"Packets given netem-style random jitter.")
+	c.mThrottle = c.reg.Counter("h2privacy_adversary_throttle_events_total",
+		"Bandwidth-limit changes applied to the path.")
 	path.AddProcessor(c)
 	return c
 }
@@ -93,35 +113,6 @@ var _ netsim.Processor = (*Controller)(nil)
 
 // Stats returns a copy of the intervention counters.
 func (c *Controller) Stats() ControllerStats { return c.stats }
-
-// SetTracer arms adversary-layer tracing: knob changes, per-GET delays and
-// drop decisions are emitted as events.
-func (c *Controller) SetTracer(tr *trace.Tracer) {
-	c.tr = tr
-	c.ctDrops = tr.Counter(trace.LayerAdversary, "dropped")
-	c.ctDelayed = tr.Counter(trace.LayerAdversary, "delayed-gets")
-	c.ctJittered = tr.Counter(trace.LayerAdversary, "jittered")
-}
-
-// Tracer returns the armed tracer (nil when tracing is off); the attack
-// driver emits its phase transitions through it.
-func (c *Controller) Tracer() *trace.Tracer { return c.tr }
-
-// SetMetrics arms first-class adversary metrics: every intervention the
-// controller makes (drops, delayed GETs, jittered packets, throttle
-// changes) increments a registry counter as it happens, so a live
-// /metrics scrape shows the attack's footprint mid-trial. A nil registry
-// leaves the nil no-op instruments in place.
-func (c *Controller) SetMetrics(reg *obs.Registry) {
-	c.mDrops = reg.Counter("h2privacy_adversary_drops_total",
-		"Packets dropped by the adversary's targeted-drop window.")
-	c.mDelayed = reg.Counter("h2privacy_adversary_delayed_gets_total",
-		"GET requests delayed by the per-request jitter schedule.")
-	c.mJittered = reg.Counter("h2privacy_adversary_jittered_packets_total",
-		"Packets given netem-style random jitter.")
-	c.mThrottle = reg.Counter("h2privacy_adversary_throttle_events_total",
-		"Bandwidth-limit changes applied to the path.")
-}
 
 // SetRequestSpacing sets the targeted jitter d (§IV-B). Setting it resets
 // the request counter (the attack driver restarts the schedule per phase);

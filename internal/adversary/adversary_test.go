@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"h2privacy/internal/capture"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/netsim"
 	"h2privacy/internal/simtime"
 	"h2privacy/internal/tcpsim"
@@ -18,7 +19,7 @@ func testPath(t *testing.T) (*simtime.Scheduler, *netsim.Path, *Controller, *[]d
 	rng := simtime.NewRand(1)
 	path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: netsim.LinkConfig{
 		BandwidthBps: 1e9,
-	}})
+	}}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func testPath(t *testing.T) (*simtime.Scheduler, *netsim.Path, *Controller, *[]d
 		func(pkt *netsim.Packet) { got = append(got, delivery{sched.Now(), pkt}) },
 		func(pkt *netsim.Packet) { got = append(got, delivery{sched.Now(), pkt}) },
 	)
-	ctrl := NewController(sched, rng.Fork(), path)
+	ctrl := NewController(sched, rng.Fork(), path, instr.Bundle{})
 	return sched, path, ctrl, &got
 }
 
@@ -171,14 +172,14 @@ func TestThrottle(t *testing.T) {
 func TestDriverPhases(t *testing.T) {
 	sched := simtime.NewScheduler()
 	rng := simtime.NewRand(3)
-	path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: netsim.LinkConfig{BandwidthBps: 1e9}})
+	path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: netsim.LinkConfig{BandwidthBps: 1e9}}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	path.Connect(func(*netsim.Packet) {}, func(*netsim.Packet) {})
-	mon := capture.NewMonitor()
+	mon := capture.NewMonitor(instr.Bundle{})
 	path.AddTap(mon)
-	ctrl := NewController(sched, rng.Fork(), path)
+	ctrl := NewController(sched, rng.Fork(), path, instr.Bundle{})
 	plan := DefaultPlan()
 	plan.TriggerGET = 2
 	plan.DropDuration = time.Second

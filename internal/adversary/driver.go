@@ -307,13 +307,18 @@ type PhaseChange struct {
 // subscribes to the monitor's GET, control-record and teardown feeds. The
 // monitor must already be tapped into the same path. The plan is
 // validated (defaults applied first); an invalid plan is an error, not
-// silent misbehavior.
+// silent misbehavior. The driver traces and counts through the
+// controller's instruments: with a registry armed, a gauge holds the
+// current phase number and a per-phase counter every transition.
 func NewDriver(sched *simtime.Scheduler, controller *Controller, monitor *capture.Monitor, plan AttackPlan) (*Driver, error) {
 	plan = plan.withDefaults()
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
 	d := &Driver{sched: sched, controller: controller, monitor: monitor, plan: plan, outcome: OutcomePending}
+	d.mPhase = controller.reg.Gauge("h2privacy_adversary_phase", phaseGaugeHelp)
+	d.mTransitions = controller.reg.CounterVec("h2privacy_adversary_phase_transitions_total",
+		"Attack phase transitions.", "phase")
 	d.transition(PhaseIdle)
 	controller.SetRequestSpacing(plan.Phase1Jitter)
 	controller.SetRandomJitter(netsim.ClientToServer, plan.Phase1RandomJitter)
@@ -373,23 +378,6 @@ func (d *Driver) FinalOutcome(broken bool) Outcome {
 	return d.outcome
 }
 
-// SetMetrics arms live phase metrics: a gauge holding the current phase
-// number and a per-phase transition counter, updated at every transition.
-// The driver transitions into PhaseIdle during construction, before a
-// registry can be attached, so arming also stamps the current state.
-func (d *Driver) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	d.mPhase = reg.Gauge("h2privacy_adversary_phase", phaseGaugeHelp)
-	d.mTransitions = reg.CounterVec("h2privacy_adversary_phase_transitions_total",
-		"Attack phase transitions.", "phase")
-	d.mPhase.Set(float64(d.phase))
-	for _, pc := range d.PhaseLog {
-		d.mTransitions.With(pc.Phase.String()).Inc()
-	}
-}
-
 // PhaseSpan is one completed attack phase with its virtual-time duration.
 type PhaseSpan struct {
 	Phase    Phase
@@ -420,7 +408,7 @@ func (d *Driver) transition(p Phase) {
 	d.PhaseLog = append(d.PhaseLog, PhaseChange{Time: d.sched.Now(), Phase: p})
 	d.mPhase.Set(float64(p))
 	d.mTransitions.With(p.String()).Inc()
-	if tr := d.controller.Tracer(); tr.Enabled() {
+	if tr := d.controller.tr; tr.Enabled() {
 		tr.Emit(trace.LayerAdversary, "phase", trace.Str("to", p.String()))
 	}
 }
@@ -474,7 +462,7 @@ func (d *Driver) openDropWindow() {
 	} else {
 		d.controller.DropServerData(rate, rtx, window)
 	}
-	if tr := d.controller.Tracer(); tr.Enabled() {
+	if tr := d.controller.tr; tr.Enabled() {
 		tr.Emit(trace.LayerAdversary, "drop-attempt",
 			trace.Num("attempt", int64(d.attempts)), trace.Dur("window", window))
 	}
@@ -520,7 +508,7 @@ func (d *Driver) heartbeat(gen int) {
 			} else {
 				d.controller.DropServerData(d.curRate, d.curRtx, d.dropStart+d.dropWindow-now)
 			}
-			if tr := d.controller.Tracer(); tr.Enabled() {
+			if tr := d.controller.tr; tr.Enabled() {
 				tr.Emit(trace.LayerAdversary, "drop-rearm",
 					trace.Dur("remaining", d.dropStart+d.dropWindow-now))
 			}
@@ -566,7 +554,7 @@ func (d *Driver) onControl(count int, ev capture.RecordEvent) {
 	} else {
 		d.outcome = OutcomeCleanSlate
 	}
-	if tr := d.controller.Tracer(); tr.Enabled() {
+	if tr := d.controller.tr; tr.Enabled() {
 		tr.Emit(trace.LayerAdversary, "reset-detected",
 			trace.Num("attempt", int64(d.attempts)), trace.Dur("at", ev.Time))
 	}
@@ -609,7 +597,7 @@ func (d *Driver) degrade(reason string) {
 	d.controller.SetRequestSpacing(0)
 	d.controller.SetRandomJitter(netsim.ClientToServer, 0)
 	d.controller.SetRandomJitter(netsim.ServerToClient, 0)
-	if tr := d.controller.Tracer(); tr.Enabled() {
+	if tr := d.controller.tr; tr.Enabled() {
 		tr.Emit(trace.LayerAdversary, "degrade", trace.Str("reason", reason))
 	}
 	d.transition(PhaseDegraded)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"h2privacy/internal/capture"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/netsim"
 	"h2privacy/internal/simtime"
 	"h2privacy/internal/tcpsim"
@@ -17,14 +18,14 @@ func newDriverHarness(t *testing.T, plan AttackPlan) (*simtime.Scheduler, *netsi
 	t.Helper()
 	sched := simtime.NewScheduler()
 	rng := simtime.NewRand(3)
-	path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: netsim.LinkConfig{BandwidthBps: 1e9}})
+	path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: netsim.LinkConfig{BandwidthBps: 1e9}}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	path.Connect(func(*netsim.Packet) {}, func(*netsim.Packet) {})
-	mon := capture.NewMonitor()
+	mon := capture.NewMonitor(instr.Bundle{})
 	path.AddTap(mon)
-	ctrl := NewController(sched, rng.Fork(), path)
+	ctrl := NewController(sched, rng.Fork(), path, instr.Bundle{})
 	d, err := NewDriver(sched, ctrl, mon, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -89,12 +90,12 @@ func TestAttackPlanValidate(t *testing.T) {
 	bad.DropRate = 7
 	sched := simtime.NewScheduler()
 	rng := simtime.NewRand(1)
-	path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: netsim.LinkConfig{BandwidthBps: 1e9}})
+	path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: netsim.LinkConfig{BandwidthBps: 1e9}}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	path.Connect(func(*netsim.Packet) {}, func(*netsim.Packet) {})
-	if _, err := NewDriver(sched, NewController(sched, rng.Fork(), path), capture.NewMonitor(), bad); err == nil {
+	if _, err := NewDriver(sched, NewController(sched, rng.Fork(), path, instr.Bundle{}), capture.NewMonitor(instr.Bundle{}), bad); err == nil {
 		t.Fatal("NewDriver accepted an invalid plan")
 	}
 }

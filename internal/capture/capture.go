@@ -15,6 +15,7 @@ import (
 
 	"h2privacy/internal/check"
 	"h2privacy/internal/flowseq"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/netsim"
 	"h2privacy/internal/tcpsim"
 	"h2privacy/internal/tlsrec"
@@ -140,8 +141,22 @@ type Monitor struct {
 
 var _ netsim.Tap = (*Monitor)(nil)
 
-// NewMonitor returns an empty monitor.
-func NewMonitor() *Monitor { return &Monitor{} }
+// NewMonitor returns an empty monitor. ins.Trace turns each GET-classified
+// record into a trace event. ins.Flows receives every parsed record, which
+// builds the flowseq analyzer's wire-side burst tables and clean-slate
+// span detector as traffic is observed. ins.Check arms reassembly checks
+// on both direction streams: the reassembled stream has no gaps, no
+// record consumes more bytes than its header declares, and parsed records
+// exactly partition the appended bytes.
+func NewMonitor(ins instr.Bundle) *Monitor {
+	m := &Monitor{tr: ins.Trace, fl: ins.Flows}
+	m.ctGET = m.tr.Counter(trace.LayerMonitor, "gets")
+	m.streams[dirIndex(netsim.ClientToServer)].ck = ins.Check
+	m.streams[dirIndex(netsim.ClientToServer)].ckDir = check.DirC2S
+	m.streams[dirIndex(netsim.ServerToClient)].ck = ins.Check
+	m.streams[dirIndex(netsim.ServerToClient)].ckDir = check.DirS2C
+	return m
+}
 
 // dirIndex maps a path direction to its slot in the monitor's arrays.
 func dirIndex(dir netsim.Direction) int { return int(dir - netsim.ClientToServer) }
@@ -159,30 +174,6 @@ func (m *Monitor) OnControl(fn func(count int, ev RecordEvent)) { m.onControl = 
 // tap in either direction — the connection is being torn down abortively
 // and the attack should degrade to passive observation.
 func (m *Monitor) OnTeardown(fn func(now time.Duration, dir netsim.Direction)) { m.onTeardown = fn }
-
-// SetTracer arms monitor-layer tracing: each GET-classified record becomes
-// a trace event.
-func (m *Monitor) SetTracer(tr *trace.Tracer) {
-	m.tr = tr
-	m.ctGET = tr.Counter(trace.LayerMonitor, "gets")
-}
-
-// SetFlows arms the flowseq record feed: every parsed record streams into
-// the analyzer's wire-side burst tables and clean-slate span detector as
-// it is observed. Nil (the default) keeps the tap feature-free at zero
-// cost.
-func (m *Monitor) SetFlows(fl *flowseq.Analyzer) { m.fl = fl }
-
-// SetChecker arms reassembly invariant checks on both direction streams:
-// the reassembled stream has no gaps, no record consumes more bytes than
-// its header declares, and parsed records exactly partition the appended
-// bytes.
-func (m *Monitor) SetChecker(ck *check.Checker) {
-	m.streams[dirIndex(netsim.ClientToServer)].ck = ck
-	m.streams[dirIndex(netsim.ClientToServer)].ckDir = check.DirC2S
-	m.streams[dirIndex(netsim.ServerToClient)].ck = ck
-	m.streams[dirIndex(netsim.ServerToClient)].ckDir = check.DirS2C
-}
 
 // Records returns all parsed record events in observation order.
 func (m *Monitor) Records() []RecordEvent { return m.records }

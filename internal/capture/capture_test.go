@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"h2privacy/internal/instr"
 	"h2privacy/internal/netsim"
 	"h2privacy/internal/tcpsim"
 	"h2privacy/internal/tlsrec"
@@ -42,7 +43,7 @@ func syn(m *Monitor, dir netsim.Direction) uint64 {
 }
 
 func TestMonitorParsesRecords(t *testing.T) {
-	m := NewMonitor()
+	m := NewMonitor(instr.Bundle{})
 	next := syn(m, netsim.ServerToClient)
 	r1 := record(tlsrec.ContentHandshake, 33)
 	r2 := record(tlsrec.ContentApplicationData, 1209)
@@ -60,7 +61,7 @@ func TestMonitorParsesRecords(t *testing.T) {
 }
 
 func TestMonitorReassemblesOutOfOrder(t *testing.T) {
-	m := NewMonitor()
+	m := NewMonitor(instr.Bundle{})
 	next := syn(m, netsim.ServerToClient)
 	wire := record(tlsrec.ContentApplicationData, 2000)
 	half := len(wire) / 2
@@ -76,7 +77,7 @@ func TestMonitorReassemblesOutOfOrder(t *testing.T) {
 }
 
 func TestMonitorDedupsRetransmissions(t *testing.T) {
-	m := NewMonitor()
+	m := NewMonitor(instr.Bundle{})
 	next := syn(m, netsim.ServerToClient)
 	wire := record(tlsrec.ContentApplicationData, 500)
 	feed(m, netsim.ServerToClient, 1*time.Millisecond, seg(next, wire, false))
@@ -90,7 +91,7 @@ func TestMonitorDedupsRetransmissions(t *testing.T) {
 }
 
 func TestMonitorTaintsRetransmittedBytes(t *testing.T) {
-	m := NewMonitor()
+	m := NewMonitor(instr.Bundle{})
 	next := syn(m, netsim.ServerToClient)
 	wire := record(tlsrec.ContentApplicationData, 900)
 	half := len(wire) / 2
@@ -104,7 +105,7 @@ func TestMonitorTaintsRetransmittedBytes(t *testing.T) {
 }
 
 func TestMonitorCountsGETs(t *testing.T) {
-	m := NewMonitor()
+	m := NewMonitor(instr.Bundle{})
 	var gets []int
 	m.OnGET(func(count int, ev RecordEvent) { gets = append(gets, count) })
 	next := syn(m, netsim.ClientToServer)
@@ -125,7 +126,7 @@ func TestMonitorCountsGETs(t *testing.T) {
 }
 
 func TestMonitorIgnoresDroppedPackets(t *testing.T) {
-	m := NewMonitor()
+	m := NewMonitor(instr.Bundle{})
 	next := syn(m, netsim.ServerToClient)
 	wire := record(tlsrec.ContentApplicationData, 700)
 	m.Observe(netsim.PacketEvent{
@@ -186,7 +187,7 @@ func TestGETClassifier(t *testing.T) {
 // in order, the monitor parses exactly the records sent.
 func TestMonitorFragmentationProperty(t *testing.T) {
 	f := func(sizes []uint16, cuts []uint8) bool {
-		m := NewMonitor()
+		m := NewMonitor(instr.Bundle{})
 		next := syn(m, netsim.ServerToClient)
 		var wire []byte
 		want := 0

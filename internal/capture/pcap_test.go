@@ -6,12 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"h2privacy/internal/instr"
 	"h2privacy/internal/netsim"
 	"h2privacy/internal/tcpsim"
 )
 
 func TestPacketLogDisabledByDefault(t *testing.T) {
-	m := NewMonitor()
+	m := NewMonitor(instr.Bundle{})
 	next := syn(m, netsim.ClientToServer)
 	feed(m, netsim.ClientToServer, time.Millisecond, seg(next, []byte{1, 2, 3}, false))
 	if len(m.Packets()) != 0 {
@@ -20,7 +21,7 @@ func TestPacketLogDisabledByDefault(t *testing.T) {
 }
 
 func TestWritePcapRoundTrip(t *testing.T) {
-	m := NewMonitor()
+	m := NewMonitor(instr.Bundle{})
 	m.EnablePacketLog()
 	next := syn(m, netsim.ClientToServer)
 	payload := []byte("GET-ish bytes")

@@ -16,6 +16,7 @@ import (
 	"h2privacy/internal/check"
 	"h2privacy/internal/endpoint"
 	"h2privacy/internal/flowseq"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/metrics"
 	"h2privacy/internal/netsim"
 	"h2privacy/internal/obs"
@@ -75,7 +76,7 @@ type TrialConfig struct {
 	// events scheduled, no extra RNG draws, existing seeds unchanged.
 	Scenario string
 	// Knobs for the single-parameter studies (§IV): applied from t=0
-	// when Attack is nil.
+	// when Attack is nil, or from selection on the flows a fleet arms.
 	RequestSpacing time.Duration // per-GET jitter d (Table I)
 	RandomJitter   time.Duration // netem-style jitter, both directions
 	ThrottleBps    float64       // bandwidth limit (Fig. 5)
@@ -90,49 +91,27 @@ type TrialConfig struct {
 	// fleet topology: N client–server pairs multiplexed over one
 	// aggregation link, with the adversary constrained to a K-flow
 	// interference budget and target selection from capture-visible
-	// features. See FleetConfig; RunTrial routes to the fleet path. Flow 0
-	// is the target pair this config otherwise describes; at N=1 with a
-	// mirrored bottleneck the trial is byte-identical to Fleet=nil.
+	// features. See FleetConfig. Flow 0 is the target pair this config
+	// otherwise describes; at N=1 with a mirrored bottleneck the trial is
+	// byte-identical to Fleet=nil.
 	Fleet *FleetConfig
 	// Predict tunes the prediction module.
 	Predict predict.Config
 	// Duration bounds the simulated time. Default 120 s.
 	Duration time.Duration
-	// Trace, when non-nil, is threaded through every layer of the testbed:
-	// netsim links, both TCP endpoints, both HTTP/2 connections, the
-	// browser, the server, the monitor and the adversary all emit events,
-	// counters and histograms into it. Nil disables tracing at zero cost.
-	Trace *trace.Tracer
-	// Check, when non-nil, arms runtime invariant checking across every
-	// layer of the testbed: TCP sequence-space conservation, HTTP/2 stream
-	// legality and flow-control accounting, HPACK table sync, link packet
-	// conservation, scheduler clock monotonicity and monitor reassembly
-	// partitioning. Violations accumulate in the checker and flush into its
-	// Recorder at collection (TrialResult.CheckViolations). Nil disables at
-	// zero cost — every hook is a nil-receiver no-op.
-	Check *check.Checker
-	// Flows, when non-nil, arms the flowseq event-sequence analyzer: the
-	// monitor feeds it wire records, the browser's HTTP/2 connection feeds
-	// it frames, and the browser annotates streams with object IDs and
-	// request kinds. Finalized features land on TrialResult.Features and —
-	// via PublishTrialMetrics — in the flow_* metric families. Nil disables
-	// at zero cost (every hook is a nil-receiver no-op).
-	Flows *flowseq.Analyzer
-	// Metrics, when non-nil, receives the trial's aggregate metrics: the
-	// adversary's live intervention counters and phase state, and the
-	// per-trial outcome counters/histograms published at collection (GETs,
-	// retransmissions, drops, resets, clean-slate success, phase and page
-	// load durations). Sweeps point many trials at one registry; a debug
-	// server scraping it sees the sweep advance live. Nil disables at zero
-	// cost — the unarmed instruments are nil no-ops.
-	Metrics *obs.Registry
-	// Perf, when non-nil, attributes the trial's host-side cost to stages:
-	// testbed construction, scheduler run, capture finalize, check finalize
-	// and metrics publication each book wall time and allocation deltas
-	// into the worker's collector. Host-clock only — it never touches the
-	// simulation, so results and traces stay byte-identical. Nil disables
-	// at zero cost (every span on a nil worker is a no-op). The handle is
-	// worker-scoped, not shared: sweeps hand each worker goroutine its own.
+	// Bundle holds the trial's instruments: a tracer, an invariant checker,
+	// a flowseq analyzer and a metrics registry (see instr.Bundle). Every
+	// layer of the target flow takes the bundle once, at construction.
+	// Checker violations land on TrialResult.CheckViolations, finalized
+	// features on TrialResult.Features, and the trial's outcome in the
+	// registry (PublishTrialMetrics); sweeps point many trials at one
+	// registry, so a debug server scraping it sees the sweep advance live.
+	// Perf attributes host-side cost (wall time and allocations) to the
+	// build, run, capture, check and publish stages; it is worker-scoped,
+	// so sweeps hand each worker goroutine its own. Each nil member is a
+	// free no-op, and arming any of them leaves results and traces
+	// byte-identical.
+	instr.Bundle
 	Perf *perf.Worker
 	// Ctx, when non-nil, arms cooperative cancellation: the scheduler polls
 	// the context every few thousand fired events and stops stepping once
@@ -174,10 +153,25 @@ type TrialConfig struct {
 	DeferMetrics bool
 }
 
-// Testbed is an assembled, un-run trial. Most callers use RunTrial; the
-// defense experiments assemble a Testbed to poke at components first.
+// Testbed is an assembled, un-run trial: the target flow — its Path, Pair,
+// Site, Plan, Server, Browser, Monitor and Controller — plus, in the fleet
+// topology, the shared bottleneck and the decoy flows around it. Most
+// callers use RunTrial; the defense experiments assemble a Testbed to poke
+// at components first.
 type Testbed struct {
-	Sched      *simtime.Scheduler
+	Sched *simtime.Scheduler
+	flow
+	Driver   *adversary.Driver
+	Injector *netsim.Injector
+	cfg      TrialConfig
+	fleet    *fleet // nil for the point-to-point topology
+}
+
+// flow is one assembled client–server pair: its own path, the gateway's
+// monitor and controller on that path, a TCP pair, and the server and
+// browser of one page load. The target and every fleet decoy are built by
+// buildFlow and differ only in its inputs.
+type flow struct {
 	Path       *netsim.Path
 	Pair       *tcpsim.Pair
 	Site       *website.Site
@@ -186,22 +180,84 @@ type Testbed struct {
 	Browser    *endpoint.Browser
 	Monitor    *capture.Monitor
 	Controller *adversary.Controller
-	Driver     *adversary.Driver
-	Injector   *netsim.Injector
-	Tracer     *trace.Tracer
-	cfg        TrialConfig
+}
+
+// start begins the page load.
+func (f *flow) start() {
+	f.Server.Start()
+	f.Browser.Start()
+}
+
+// buildFlow assembles one flow on sched, drawing everything from rng, the
+// flow's root RNG, in the fork order every flow shares: path, controller,
+// cross traffic (when cfg asks for it), TCP pair, plan, server, browser.
+// cfg is the flow's view of the trial; plan draws the request plan for
+// site. ins arms every layer, except that only the browser's HTTP/2
+// connection feeds ins.Flows.
+func buildFlow(sched *simtime.Scheduler, rng *simtime.Rand, cfg *TrialConfig, site *website.Site,
+	plan func(*website.Site, *simtime.Rand) (*website.Plan, error), ins instr.Bundle) (flow, error) {
+	f := flow{Site: site}
+	var err error
+	f.Path, err = netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: cfg.Link}, ins)
+	if err != nil {
+		return f, fmt.Errorf("path: %w", err)
+	}
+	// The monitor taps the path; the controller installs its processor.
+	// Taps observe at middlebox ingress, before the adversary's own
+	// delays, so the adversary never confuses itself.
+	f.Monitor = capture.NewMonitor(ins)
+	f.Path.AddTap(f.Monitor)
+	f.Controller = adversary.NewController(sched, rng.Fork(), f.Path, ins)
+	if cfg.CrossTrafficBps > 0 {
+		ct := netsim.NewCrossTraffic(sched, rng.Fork(), f.Path, cfg.CrossTrafficBps, 0)
+		sched.At(0, ct.Start)
+		// The page load and attack finish well inside 40 s; stopping the
+		// generator lets the trial quiesce instead of simulating hours
+		// of idle background packets.
+		sched.At(40*time.Second, ct.Stop)
+	}
+	tcp := cfg.TCP
+	if tcp.Pool == nil {
+		tcp.Pool = cfg.Pool
+	}
+	f.Pair, err = tcpsim.NewPair(sched, rng.Fork(), f.Path, tcp, ins)
+	if err != nil {
+		return f, fmt.Errorf("tcp: %w", err)
+	}
+	f.Plan, err = plan(site, rng)
+	if err != nil {
+		return f, fmt.Errorf("plan: %w", err)
+	}
+	scfg, bcfg := cfg.Server, cfg.Browser
+	if cfg.ServerPush {
+		scfg.PushEmblems = true
+		bcfg.AcceptPush = true
+	}
+	sins := ins
+	sins.Flows = nil
+	f.Server, err = endpoint.NewServer(sched, rng.Fork(), f.Pair.Server, site, scfg, sins)
+	if err != nil {
+		return f, fmt.Errorf("server: %w", err)
+	}
+	f.Browser, err = endpoint.NewBrowser(sched, rng.Fork(), f.Pair.Client, site, f.Plan, bcfg, ins)
+	if err != nil {
+		return f, fmt.Errorf("browser: %w", err)
+	}
+	return f, nil
 }
 
 // NewTestbed assembles all components for a trial without starting it.
 func NewTestbed(cfg TrialConfig) (*Testbed, error) {
+	if fc := cfg.Fleet; fc != nil {
+		if err := fc.validate(cfg.Attack); err != nil {
+			return nil, err
+		}
+	}
 	if cfg.Link.BandwidthBps == 0 {
 		cfg.Link = DefaultLink()
 	}
 	if cfg.Duration == 0 {
 		cfg.Duration = 120 * time.Second
-	}
-	if cfg.Pool != nil && cfg.TCP.Pool == nil {
-		cfg.TCP.Pool = cfg.Pool
 	}
 	sched := simtime.NewScheduler()
 	// Watchdogs and cancellation arm before any component schedules: all
@@ -217,132 +273,45 @@ func NewTestbed(cfg TrialConfig) (*Testbed, error) {
 	if ctx := cfg.Ctx; ctx != nil {
 		sched.SetInterrupt(func() bool { return ctx.Err() != nil })
 	}
+	// The instruments were built before the trial's clock existed; stamp
+	// them from this trial's virtual time. The trace and the flowseq rows
+	// carry the same flow identifier as the pcap export, so all three
+	// views of one connection join on it.
+	ins := cfg.Bundle
+	if cfg.Fleet != nil && ins.Flows == nil {
+		// The fleet's selector scores every flow by its capture-visible
+		// features, so the target needs an analyzer even with features
+		// off. This private one flushes nowhere; analyzers draw no RNG and
+		// schedule no events, so arming features never changes selection.
+		ins.Flows = flowseq.New(0, nil)
+	}
+	if ins.Trace.Enabled() {
+		ins.Trace.SetClock(sched)
+		ins.Trace.SetMeta("flow", capture.FlowID())
+	}
+	if ins.Flows.Enabled() {
+		ins.Flows.SetClock(sched)
+		ins.Flows.SetFlow(capture.FlowID())
+	}
+	if ins.Check.Enabled() {
+		ins.Check.SetClock(sched.Now)
+		sched.SetStepHook(ins.Check.SchedulerStep)
+	}
+
 	rng := simtime.NewRand(cfg.Seed)
-	tb := &Testbed{Sched: sched, Site: website.ISideWith(), Tracer: cfg.Trace, cfg: cfg}
-	if cfg.Trace.Enabled() {
-		// The tracer was built before the trial's clock existed; stamp its
-		// events from this trial's virtual time.
-		cfg.Trace.SetClock(sched)
-		// Fan the tracer out to every config-carried layer; components
-		// that predate the config fields get it via SetTracer below.
-		cfg.TCP.Tracer = cfg.Trace
-		cfg.Server.Tracer = cfg.Trace
-		cfg.Server.H2.Tracer = cfg.Trace
-		cfg.Browser.Tracer = cfg.Trace
-		cfg.Browser.H2.Tracer = cfg.Trace
-	}
-	if cfg.Check.Enabled() {
-		// Same fan-out as the tracer: clock from this trial's scheduler,
-		// then every config-carried layer; SetChecker below covers the rest.
-		cfg.Check.SetClock(sched.Now)
-		sched.SetStepHook(cfg.Check.SchedulerStep)
-		cfg.TCP.Check = cfg.Check
-		cfg.Server.H2.Check = cfg.Check
-		cfg.Browser.H2.Check = cfg.Check
-	}
-	if cfg.Flows.Enabled() {
-		// Clock from this trial's scheduler, flow ID from the synthesized
-		// pcap 5-tuple (the shared join key with the exported capture and
-		// Chrome-trace metadata). Only the browser's connection feeds frames
-		// — wiring both endpoints would double-count every frame.
-		cfg.Flows.SetClock(sched)
-		cfg.Flows.SetFlow(capture.FlowID())
-		cfg.Browser.H2.Flows = cfg.Flows
-		cfg.Browser.Flows = cfg.Flows
-	}
-	if cfg.Trace.Enabled() {
-		// Stamp the trace with the same flow identifier the pcap export and
-		// the flowseq feature rows carry, so all three views of one
-		// connection join on it.
-		cfg.Trace.SetMeta("flow", capture.FlowID())
-	}
-
-	var err error
-	tb.Path, err = netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: cfg.Link, Tracer: cfg.Trace, Check: cfg.Check})
+	f, err := buildFlow(sched, rng, &cfg, website.ISideWith(), cfg.userPlan, ins)
 	if err != nil {
-		return nil, fmt.Errorf("core: path: %w", err)
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	// The monitor taps the path; the controller installs its processor.
-	// Taps observe at middlebox ingress, before the adversary's own
-	// delays, so the adversary never confuses itself.
-	tb.Monitor = capture.NewMonitor()
-	tb.Path.AddTap(tb.Monitor)
-	tb.Controller = adversary.NewController(sched, rng.Fork(), tb.Path)
-	if cfg.Trace.Enabled() {
-		tb.Monitor.SetTracer(cfg.Trace)
-		tb.Controller.SetTracer(cfg.Trace)
-	}
-	if cfg.Check.Enabled() {
-		tb.Monitor.SetChecker(cfg.Check)
-	}
-	if cfg.Flows.Enabled() {
-		tb.Monitor.SetFlows(cfg.Flows)
-	}
-	if cfg.Metrics != nil {
-		tb.Controller.SetMetrics(cfg.Metrics)
-	}
-	if cfg.CrossTrafficBps > 0 {
-		ct := netsim.NewCrossTraffic(sched, rng.Fork(), tb.Path, cfg.CrossTrafficBps, 0)
-		sched.At(0, ct.Start)
-		// The page load and attack finish well inside 40 s; stopping the
-		// generator lets the trial quiesce instead of simulating hours
-		// of idle background packets.
-		sched.At(40*time.Second, ct.Stop)
-	}
-
-	tb.Pair, err = tcpsim.NewPair(sched, rng.Fork(), tb.Path, cfg.TCP)
-	if err != nil {
-		return nil, fmt.Errorf("core: tcp: %w", err)
-	}
-	perm := cfg.Perm
-	if perm == nil {
-		perm = website.RandomPerm(rng.Fork())
-	}
-	if cfg.ShuffledEmblemOrder {
-		tb.Plan, err = tb.Site.PlanForShuffled(perm, rng.Fork())
-	} else {
-		tb.Plan, err = tb.Site.PlanFor(perm)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: plan: %w", err)
-	}
-	if cfg.ServerPush {
-		cfg.Server.PushEmblems = true
-		cfg.Browser.AcceptPush = true
-	}
-	tb.Server, err = endpoint.NewServer(sched, rng.Fork(), tb.Pair.Server, tb.Site, cfg.Server)
-	if err != nil {
-		return nil, fmt.Errorf("core: server: %w", err)
-	}
-	tb.Browser, err = endpoint.NewBrowser(sched, rng.Fork(), tb.Pair.Client, tb.Site, tb.Plan, cfg.Browser)
-	if err != nil {
-		return nil, fmt.Errorf("core: browser: %w", err)
-	}
-
-	if cfg.Attack != nil {
-		tb.Driver, err = adversary.NewDriver(sched, tb.Controller, tb.Monitor, *cfg.Attack)
-		if err != nil {
-			return nil, fmt.Errorf("core: attack plan: %w", err)
-		}
-		if cfg.Metrics != nil {
-			tb.Driver.SetMetrics(cfg.Metrics)
-		}
-	} else {
-		// Single-knob studies.
-		if cfg.RequestSpacing > 0 {
-			tb.Controller.SetRequestSpacing(cfg.RequestSpacing)
-		}
-		if cfg.RandomJitter > 0 {
-			tb.Controller.SetRandomJitter(netsim.ClientToServer, cfg.RandomJitter)
-			tb.Controller.SetRandomJitter(netsim.ServerToClient, cfg.RandomJitter)
-		}
-		if cfg.ThrottleBps > 0 {
-			tb.Controller.Throttle(cfg.ThrottleBps)
-		}
-		if cfg.DropRate > 0 && cfg.DropDuration > 0 {
-			sched.At(cfg.DropFrom, func() {
-				tb.Controller.DropServerData(cfg.DropRate, cfg.DropRate, cfg.DropDuration)
-			})
+	tb := &Testbed{Sched: sched, flow: f, cfg: cfg}
+	if cfg.Fleet == nil || cfg.Fleet.armsAtBuild() {
+		if cfg.Attack != nil {
+			tb.Driver, err = adversary.NewDriver(sched, tb.Controller, tb.Monitor, *cfg.Attack)
+			if err != nil {
+				return nil, fmt.Errorf("core: attack plan: %w", err)
+			}
+		} else {
+			applyKnobs(sched, &cfg, tb.Controller)
 		}
 	}
 
@@ -354,14 +323,8 @@ func NewTestbed(cfg TrialConfig) (*Testbed, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: unknown fault scenario %q (have %v)", cfg.Scenario, netsim.ScenarioNames())
 		}
-		inj := netsim.NewInjector(sched, rng.Fork(), tb.Path)
+		inj := netsim.NewInjector(sched, rng.Fork(), tb.Path, ins)
 		inj.SetWiper(tb.Controller)
-		if cfg.Trace.Enabled() {
-			inj.SetTracer(cfg.Trace)
-		}
-		if cfg.Metrics != nil {
-			inj.SetMetrics(cfg.Metrics)
-		}
 		sc.Arm(inj)
 		tb.Injector = inj
 	}
@@ -370,18 +333,58 @@ func NewTestbed(cfg TrialConfig) (*Testbed, error) {
 	if cfg.Chaos == ChaosHang {
 		armChaosHang(sched)
 	}
+	if cfg.Fleet != nil {
+		if err := tb.buildFleet(ins); err != nil {
+			return nil, err
+		}
+	}
 	return tb, nil
 }
 
-// Run starts both endpoints and executes the trial to quiescence or the
-// configured duration, returning the collected result.
+// userPlan draws the target's request plan: the volunteer's party
+// ranking (TrialConfig.Perm, or one drawn from the seed) in request
+// order, shuffled under the §VII defense.
+func (cfg *TrialConfig) userPlan(site *website.Site, rng *simtime.Rand) (*website.Plan, error) {
+	perm := cfg.Perm
+	if perm == nil {
+		perm = website.RandomPerm(rng.Fork())
+	}
+	if cfg.ShuffledEmblemOrder {
+		return site.PlanForShuffled(perm, rng.Fork())
+	}
+	return site.PlanFor(perm)
+}
+
+// applyKnobs arms the single-parameter interference knobs (§IV) on one
+// flow's controller: at construction in a standalone trial, at selection
+// in a fleet. The drop window opens at DropFrom, or at once when the flow
+// is armed later than that.
+func applyKnobs(sched *simtime.Scheduler, cfg *TrialConfig, ctrl *adversary.Controller) {
+	if cfg.RequestSpacing > 0 {
+		ctrl.SetRequestSpacing(cfg.RequestSpacing)
+	}
+	if cfg.RandomJitter > 0 {
+		ctrl.SetRandomJitter(netsim.ClientToServer, cfg.RandomJitter)
+		ctrl.SetRandomJitter(netsim.ServerToClient, cfg.RandomJitter)
+	}
+	if cfg.ThrottleBps > 0 {
+		ctrl.Throttle(cfg.ThrottleBps)
+	}
+	if cfg.DropRate > 0 && cfg.DropDuration > 0 {
+		sched.At(max(sched.Now(), cfg.DropFrom), func() {
+			ctrl.DropServerData(cfg.DropRate, cfg.DropRate, cfg.DropDuration)
+		})
+	}
+}
+
+// Run starts the target's page load and executes the trial to quiescence
+// or the configured duration, returning the collected result.
 func (tb *Testbed) Run() *TrialResult {
 	if tb.cfg.Chaos == ChaosPanic {
 		panic(chaosPanicValue(tb.cfg.Seed))
 	}
 	sp := tb.cfg.Perf.Start(perf.StageRun)
-	tb.Server.Start()
-	tb.Browser.Start()
+	tb.start()
 	tb.Sched.RunUntil(tb.cfg.Duration)
 	sp.Stop()
 	if tb.Sched.Interrupted() {
@@ -401,9 +404,6 @@ func (tb *Testbed) Run() *TrialResult {
 func RunTrial(cfg TrialConfig) (*TrialResult, error) {
 	if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
 		return nil, cfg.Ctx.Err()
-	}
-	if cfg.Fleet != nil {
-		return runFleetTrial(cfg)
 	}
 	sp := cfg.Perf.Start(perf.StageBuild)
 	tb, err := NewTestbed(cfg)
@@ -500,21 +500,36 @@ type TrialResult struct {
 	Quarantined bool
 }
 
+// collect runs the capture half of collection, adds the fleet outcome,
+// then hands the checker every link's final stats — summed per direction
+// over the target and the decoys, plus the bottleneck's aggregate — runs
+// its end-of-trial checks, and publishes the outcome metrics.
 func (tb *Testbed) collect() *TrialResult {
 	res := tb.collectCapture()
+	fl := tb.fleet
+	if fl != nil {
+		res.Fleet = fl.outcome(tb)
+	}
 	if ck := tb.cfg.Check; ck.Enabled() {
 		csp := tb.cfg.Perf.Start(perf.StageCheck)
-		// Hand the checker each link's final stats for drift detection, then
-		// run the end-of-trial conservation checks and flush the report.
 		for _, dir := range []netsim.Direction{netsim.ClientToServer, netsim.ServerToClient} {
 			d := uint8(check.DirC2S)
 			if dir == netsim.ServerToClient {
 				d = check.DirS2C
 			}
 			st := tb.Path.Link(dir).Stats()
+			if fl != nil {
+				for i := range fl.decoys {
+					addStats(&st, fl.decoys[i].Path.Link(dir).Stats())
+				}
+			}
 			ck.LinkStatsFinal(d, st.Sent, st.Delivered, st.Duplicated,
 				st.DroppedLoss, st.DroppedPolicy, st.DroppedQueue, st.DroppedFault,
 				st.BytesDelivered)
+			if fl != nil {
+				ast := fl.bn.Stats(dir)
+				ck.AggStatsFinal(d, ast.Forwarded, ast.Bytes, ast.DroppedQueue)
+			}
 		}
 		res.CheckViolations = ck.Finalize()
 		csp.Stop()
@@ -527,11 +542,8 @@ func (tb *Testbed) collect() *TrialResult {
 	return res
 }
 
-// collectCapture runs the capture half of collection — monitor reads, DoM
-// metrics, burst segmentation, prediction and feature finalization — and
-// leaves the checker/publish epilogues to the caller. The point-to-point
-// collect() runs them against the single path; the fleet trial runs them
-// against per-flow sums plus the shared bottleneck's aggregate stats.
+// collectCapture runs the capture half of collection: monitor reads, DoM
+// metrics, burst segmentation, prediction and feature finalization.
 func (tb *Testbed) collectCapture() *TrialResult {
 	sp := tb.cfg.Perf.Start(perf.StageCapture)
 	dom := metrics.AnalyzeDoM(tb.Server.TxLog(), tb.Site.Sizes())
@@ -563,8 +575,8 @@ func (tb *Testbed) collectCapture() *TrialResult {
 		res.FinalPhase = tb.Driver.Phase()
 		res.Outcome = tb.Driver.FinalOutcome(res.Broken)
 		res.AttackAttempts = tb.Driver.Attempts()
-		if tb.Tracer.Enabled() {
-			tb.Tracer.Emit(trace.LayerAdversary, "outcome",
+		if tb.cfg.Trace.Enabled() {
+			tb.cfg.Trace.Emit(trace.LayerAdversary, "outcome",
 				trace.Str("outcome", res.Outcome.String()),
 				trace.Num("attempts", int64(res.AttackAttempts)))
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"h2privacy/internal/adversary"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/obs"
 	"h2privacy/internal/trace"
 	"h2privacy/internal/website"
@@ -212,7 +213,7 @@ func TestTimeline(t *testing.T) {
 func TestTrialMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	plan := adversary.DefaultPlan()
-	tb, err := NewTestbed(TrialConfig{Seed: 8, Attack: &plan, Metrics: reg})
+	tb, err := NewTestbed(TrialConfig{Seed: 8, Attack: &plan, Bundle: instr.Bundle{Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestTrialMetrics(t *testing.T) {
 	// Everything published is virtual-time derived: a same-seed rerun into a
 	// fresh registry must produce an identical exposition.
 	reg2 := obs.NewRegistry()
-	tb2, err := NewTestbed(TrialConfig{Seed: 8, Attack: &plan, Metrics: reg2})
+	tb2, err := NewTestbed(TrialConfig{Seed: 8, Attack: &plan, Bundle: instr.Bundle{Metrics: reg2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestTimelineFromTrace(t *testing.T) {
 	tb, err := NewTestbed(TrialConfig{
 		Seed:   3,
 		Attack: &plan,
-		Trace:  trace.New(nil, trace.Config{}),
+		Bundle: instr.Bundle{Trace: trace.New(nil, trace.Config{})},
 	})
 	if err != nil {
 		t.Fatal(err)

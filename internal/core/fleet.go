@@ -7,13 +7,10 @@ import (
 
 	"h2privacy/internal/adversary"
 	"h2privacy/internal/capture"
-	"h2privacy/internal/check"
-	"h2privacy/internal/endpoint"
 	"h2privacy/internal/flowseq"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/netsim"
-	"h2privacy/internal/perf"
 	"h2privacy/internal/simtime"
-	"h2privacy/internal/tcpsim"
 	"h2privacy/internal/website"
 )
 
@@ -210,255 +207,197 @@ func mixSeed(seed int64, flow int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// decoyFlow is one assembled decoy pair.
-type decoyFlow struct {
-	path    *netsim.Path
-	monitor *capture.Monitor
-	ctrl    *adversary.Controller
-	browser *endpoint.Browser
-	flows   *flowseq.Analyzer
-	id      string
-}
-
-// runFleetTrial assembles and runs one shared-bottleneck trial. Flow 0 is
-// built by NewTestbed itself — the standalone assembly, so its RNG fork
-// order is the standalone order by construction — then the bottleneck and
-// the decoys attach around it.
-func runFleetTrial(cfg TrialConfig) (*TrialResult, error) {
-	fc := *cfg.Fleet
+// validate rejects fleet shapes no trial can run.
+func (fc *FleetConfig) validate(attack *adversary.AttackPlan) error {
 	if fc.N < 1 {
-		return nil, fmt.Errorf("core: fleet N must be >= 1, got %d", fc.N)
+		return fmt.Errorf("core: fleet N must be >= 1, got %d", fc.N)
 	}
 	if fc.Budget < 0 {
-		return nil, fmt.Errorf("core: fleet budget must be >= 0, got %d", fc.Budget)
+		return fmt.Errorf("core: fleet budget must be >= 0, got %d", fc.Budget)
 	}
-	if cfg.Attack != nil {
-		if err := cfg.Attack.Validate(); err != nil {
-			return nil, err
-		}
+	if attack != nil {
+		return attack.Validate()
 	}
-	link := cfg.Link
-	if link.BandwidthBps == 0 {
-		link = DefaultLink()
-	}
-	fc = fc.withDefaults(link)
-	duration := cfg.Duration
-	if duration == 0 {
-		duration = 120 * time.Second
-	}
+	return nil
+}
 
-	// armInline: a one-flow fleet with budget arms the attack at
-	// construction — the standalone shape — so N=1 results are
-	// bit-identical to the single-pair tables at shared seeds. With more
-	// flows (or no budget) the target config is stripped of every
-	// interference knob; the selector arms chosen flows at SelectAt.
-	armInline := fc.N == 1 && fc.Budget >= 1
-	tcfg := cfg
-	tcfg.Fleet = nil
-	if !armInline {
-		tcfg.Attack = nil
-		tcfg.RequestSpacing = 0
-		tcfg.RandomJitter = 0
-		tcfg.ThrottleBps = 0
-		tcfg.DropRate = 0
-	}
-	sp := cfg.Perf.Start(perf.StageBuild)
-	tb, err := NewTestbed(tcfg)
-	if err != nil {
-		sp.Stop()
-		return nil, err
-	}
+// armsAtBuild reports whether the target is armed at construction. A
+// fleet arms its interference on the flows it selects, but a one-flow
+// fleet with budget arms the target like a standalone trial does, so N=1
+// results match the single-pair tables.
+func (fc *FleetConfig) armsAtBuild() bool { return fc.N == 1 && fc.Budget >= 1 }
+
+// fleet is the shared-bottleneck topology around a testbed's target flow.
+type fleet struct {
+	cfg    FleetConfig
+	bn     *netsim.Bottleneck
+	decoys []flow // flows 1..N-1
+	// analyzers feed the selector, one per flow (the target's first);
+	// with features armed they also land every flow's rows in the sweep
+	// collector.
+	analyzers []*flowseq.Analyzer
+	budget    *adversary.Budget
+	selected  []int
+	targeted  []bool // per flow: the staged attack was armed on it
+	tried     map[int]bool
+	scan      func()
+}
+
+// buildFleet attaches the target to a shared bottleneck and builds the
+// decoys around it, then schedules the adversary's target selection. ins
+// is the target's instrument bundle. A decoy's bundle is the target's
+// with the tracer and checker cleared and its own sibling analyzer; its
+// links still feed packet conservation through the bottleneck. Each decoy
+// draws from its own root RNG (mixSeed), so adding or removing decoys
+// never shifts another flow's stream.
+func (tb *Testbed) buildFleet(ins instr.Bundle) error {
+	cfg := &tb.cfg
+	fc := cfg.Fleet.withDefaults(cfg.Link)
 	sched := tb.Sched
-
-	bn, err := netsim.NewBottleneck(sched, fc.Bottleneck)
+	bn, err := netsim.NewBottleneck(sched, fc.Bottleneck, ins)
 	if err != nil {
-		sp.Stop()
-		return nil, err
+		return err
 	}
 	bn.Attach(tb.Path)
-
-	// Per-flow capture-visible features for target selection. The armed
-	// analyzer (and its siblings) also lands every flow's rows in the
-	// sweep collector; with features off, private analyzers feed the
-	// selector only — they draw no RNG and schedule no events, so arming
-	// features never changes selection or results.
-	flows := make([]*flowseq.Analyzer, fc.N)
-	if cfg.Flows.Enabled() {
-		flows[0] = cfg.Flows
-	} else {
-		flows[0] = flowseq.New(0, nil)
-		flows[0].SetClock(sched)
-		flows[0].SetFlow(capture.FlowID())
-		tb.Monitor.SetFlows(flows[0])
-	}
-
-	ctrls := make([]*adversary.Controller, fc.N)
-	mons := make([]*capture.Monitor, fc.N)
-	ctrls[0], mons[0] = tb.Controller, tb.Monitor
-
-	decoys := make([]*decoyFlow, 0, fc.N-1)
+	fl := &fleet{cfg: fc, bn: bn, decoys: make([]flow, fc.N-1),
+		analyzers: make([]*flowseq.Analyzer, fc.N), targeted: make([]bool, fc.N)}
+	fl.analyzers[0] = ins.Flows
+	// Decoys share the target's path, transport and application tuning,
+	// but none of its workload options (plan, push defense, cross traffic)
+	// or adversary knobs.
+	dcfg := TrialConfig{Link: cfg.Link, TCP: cfg.TCP, Pool: cfg.Pool, Server: cfg.Server, Browser: cfg.Browser}
+	dcfg.Server.PushEmblems = false
+	dcfg.Browser.AcceptPush = false
+	dins := ins
+	dins.Trace, dins.Check = nil, nil
 	for i := 1; i < fc.N; i++ {
-		d, derr := buildDecoy(sched, cfg, link, i, fc.Stagger, flows[0])
-		if derr != nil {
-			sp.Stop()
-			return nil, derr
+		dins.Flows = ins.Flows.Sibling(capture.FleetFlowID(i))
+		d := &fl.decoys[i-1]
+		*d, err = buildFlow(sched, simtime.NewRand(mixSeed(cfg.Seed, i)), &dcfg, website.DecoySite(i), sequentialPlan, dins)
+		if err != nil {
+			return fmt.Errorf("core: fleet decoy %d %w", i, err)
 		}
-		bn.Attach(d.path)
-		flows[i], ctrls[i], mons[i] = d.flows, d.ctrl, d.monitor
-		decoys = append(decoys, d)
+		bn.Attach(d.Path)
+		sched.At(time.Duration(i)*fc.Stagger, d.start)
+		fl.analyzers[i] = dins.Flows
 	}
 
-	budget := adversary.NewBudget(fc.Budget, cfg.Check)
-	var selected []int
-	drivers := make(map[int]*adversary.Driver)
-	if armInline {
-		budget.TryAcquire(0)
-		selected = []int{0}
+	fl.budget = adversary.NewBudget(fc.Budget, cfg.Check)
+	if fc.armsAtBuild() {
+		fl.budget.TryAcquire(0)
+		fl.selected = []int{0}
 		if tb.Driver != nil {
-			drivers[0] = tb.Driver
-			tb.Driver.SetOnRelease(func() { budget.Release(0) })
+			fl.targeted[0] = true
+			tb.Driver.SetOnRelease(func() { fl.budget.Release(0) })
 		}
 	} else if fc.Budget > 0 {
-		// The middlebox watches the link from SelectAt, re-scoring every
-		// SelectEvery until it has armed its whole budget or SelectUntil
-		// passes. The MinScore floor keeps early scans from arming decoy
-		// noise while the real target's response has not started yet; a
-		// flow is armed at most once (degrading releases the budget slot
-		// but never re-arms the same flow).
-		tried := make(map[int]bool)
-		armed := 0
-		var scan func()
-		scan = func() {
-			for _, fi := range adversary.SelectTargets(flows, fc.Budget, fc.MinScore) {
-				if armed >= fc.Budget {
-					break
-				}
-				if tried[fi] || !budget.TryAcquire(fi) {
-					continue
-				}
-				tried[fi] = true
-				armed++
-				selected = append(selected, fi)
-				fi := fi
-				if cfg.Attack != nil {
-					drv, derr := adversary.NewDriver(sched, ctrls[fi], mons[fi], *cfg.Attack)
-					if derr != nil {
-						budget.Release(fi)
-						continue
-					}
-					drv.SetOnRelease(func() { budget.Release(fi) })
-					if cfg.Metrics != nil {
-						drv.SetMetrics(cfg.Metrics)
-					}
-					drivers[fi] = drv
-					if fi == 0 {
-						tb.Driver = drv
-					}
-					continue
-				}
-				applyKnobs(sched, &cfg, ctrls[fi])
-			}
-			if armed < fc.Budget && sched.Now()+fc.SelectEvery <= fc.SelectUntil {
-				sched.At(sched.Now()+fc.SelectEvery, scan)
-			}
-		}
-		sched.At(fc.SelectAt, scan)
+		fl.tried = make(map[int]bool)
+		fl.scan = func() { tb.selectTargets(fl) }
+		sched.At(fc.SelectAt, fl.scan)
 	}
-	sp.Stop()
+	tb.fleet = fl
+	return nil
+}
 
-	if cfg.Chaos == ChaosPanic {
-		panic(chaosPanicValue(cfg.Seed))
-	}
-	rsp := cfg.Perf.Start(perf.StageRun)
-	tb.Server.Start()
-	tb.Browser.Start()
-	sched.RunUntil(duration)
-	rsp.Stop()
-	if sched.Interrupted() {
-		// Cooperatively cancelled mid-run, same contract as Testbed.Run:
-		// no half-computed result.
-		if cfg.Ctx != nil {
-			return nil, cfg.Ctx.Err()
-		}
-		return nil, nil
-	}
+// sequentialPlan is a decoy's plan: its site's objects, in order.
+func sequentialPlan(site *website.Site, _ *simtime.Rand) (*website.Plan, error) {
+	return site.SequentialPlan()
+}
 
-	res := tb.collectCapture()
-	if cfg.Flows.Enabled() {
-		for _, d := range decoys {
-			d.flows.Finalize()
+// selectTargets is the middlebox's scan: it scores every flow and arms
+// the attack (or the knobs) on the best until its budget is spent,
+// re-scanning every SelectEvery until SelectUntil passes. The MinScore
+// floor keeps early scans from arming decoy noise while the real target's
+// response has not started yet; a flow is armed at most once (degrading
+// releases the budget slot but never re-arms the same flow). Scans draw
+// no RNG.
+func (tb *Testbed) selectTargets(fl *fleet) {
+	sched, cfg, fc := tb.Sched, &tb.cfg, &fl.cfg
+	for _, fi := range adversary.SelectTargets(fl.analyzers, fc.Budget, fc.MinScore) {
+		if len(fl.selected) >= fc.Budget {
+			break
+		}
+		if fl.tried[fi] || !fl.budget.TryAcquire(fi) {
+			continue
+		}
+		fl.tried[fi] = true
+		fl.selected = append(fl.selected, fi)
+		f := &tb.flow
+		if fi > 0 {
+			f = &fl.decoys[fi-1]
+		}
+		if cfg.Attack == nil {
+			applyKnobs(sched, cfg, f.Controller)
+			continue
+		}
+		drv, err := adversary.NewDriver(sched, f.Controller, f.Monitor, *cfg.Attack)
+		if err != nil {
+			fl.budget.Release(fi)
+			continue
+		}
+		drv.SetOnRelease(func() { fl.budget.Release(fi) })
+		fl.targeted[fi] = true
+		if fi == 0 {
+			tb.Driver = drv
 		}
 	}
+	if len(fl.selected) < fc.Budget && sched.Now()+fc.SelectEvery <= fc.SelectUntil {
+		sched.At(sched.Now()+fc.SelectEvery, fl.scan)
+	}
+}
 
+// outcome finalizes the decoys' features (the target's are finalized with
+// the capture) and summarizes selection, budget, interventions, decoy
+// page-load fates and the bottleneck's counters.
+func (fl *fleet) outcome(tb *Testbed) *FleetOutcome {
+	if tb.cfg.Flows.Enabled() {
+		for _, an := range fl.analyzers[1:] {
+			an.Finalize()
+		}
+	}
+	fc := &fl.cfg
 	out := &FleetOutcome{
 		N:          fc.N,
 		Budget:     fc.Budget,
 		Discipline: fc.Bottleneck.Discipline.String(),
-		BudgetPeak: budget.Peak(),
-		AggC2S:     bn.Stats(netsim.ClientToServer),
-		AggS2C:     bn.Stats(netsim.ServerToClient),
+		BudgetPeak: fl.budget.Peak(),
+		AggC2S:     fl.bn.Stats(netsim.ClientToServer),
+		AggS2C:     fl.bn.Stats(netsim.ServerToClient),
 	}
-	sort.Ints(selected)
-	out.Selected = selected
-	for _, fi := range selected {
+	sort.Ints(fl.selected)
+	out.Selected = fl.selected
+	for _, fi := range fl.selected {
 		if fi == 0 {
 			out.TargetSelected = true
 		}
 	}
-	for _, c := range ctrls {
-		st := c.Stats()
-		out.Interventions += st.DroppedPkts + st.DelayedGETs + st.JitteredPkts + st.ThrottleEvents
-	}
-	for i, d := range decoys {
-		r := d.browser.Result()
+	out.Interventions = interventions(tb.Controller)
+	for i := range fl.decoys {
+		d := &fl.decoys[i]
+		out.Interventions += interventions(d.Controller)
+		r := d.Browser.Result()
 		var last time.Duration
 		for _, at := range r.Completed {
 			if at > last {
 				last = at
 			}
 		}
-		_, targeted := drivers[i+1]
 		out.Decoys = append(out.Decoys, DecoyOutcome{
-			Flow:      d.id,
+			Flow:      fl.analyzers[i+1].Flow(),
 			LoadTime:  last,
 			Completed: len(r.Completed),
 			Broken:    r.Broken,
 			Resets:    r.Resets,
-			Targeted:  targeted,
+			Targeted:  fl.targeted[i+1],
 		})
 	}
-	res.Fleet = out
+	return out
+}
 
-	if ck := cfg.Check; ck.Enabled() {
-		csp := cfg.Perf.Start(perf.StageCheck)
-		// Per-flow conservation already accumulated in the link shadows;
-		// now pin the reported per-flow sums and the aggregate against
-		// them, per direction, then run the end-of-trial checks.
-		for _, dir := range []netsim.Direction{netsim.ClientToServer, netsim.ServerToClient} {
-			d := uint8(check.DirC2S)
-			if dir == netsim.ServerToClient {
-				d = check.DirS2C
-			}
-			var sum netsim.LinkStats
-			addStats(&sum, tb.Path.Link(dir).Stats())
-			for _, df := range decoys {
-				addStats(&sum, df.path.Link(dir).Stats())
-			}
-			ck.LinkStatsFinal(d, sum.Sent, sum.Delivered, sum.Duplicated,
-				sum.DroppedLoss, sum.DroppedPolicy, sum.DroppedQueue, sum.DroppedFault,
-				sum.BytesDelivered)
-			ast := bn.Stats(dir)
-			ck.AggStatsFinal(d, ast.Forwarded, ast.Bytes, ast.DroppedQueue)
-		}
-		res.CheckViolations = ck.Finalize()
-		csp.Stop()
-	}
-	if !cfg.DeferMetrics {
-		psp := cfg.Perf.Start(perf.StagePublish)
-		PublishTrialMetrics(cfg.Metrics, res)
-		psp.Stop()
-	}
-	return res, nil
+// interventions totals one controller's actions.
+func interventions(c *adversary.Controller) int {
+	st := c.Stats()
+	return st.DroppedPkts + st.DelayedGETs + st.JitteredPkts + st.ThrottleEvents
 }
 
 // addStats accumulates per-flow link counters for the aggregate
@@ -472,90 +411,4 @@ func addStats(sum *netsim.LinkStats, st netsim.LinkStats) {
 	sum.DroppedQueue += st.DroppedQueue
 	sum.DroppedFault += st.DroppedFault
 	sum.BytesDelivered += st.BytesDelivered
-}
-
-// buildDecoy assembles decoy flow i against the shared scheduler: its own
-// path (attached to the bottleneck by the caller), monitor, controller,
-// TCP pair, generated decoy site and a full page-load browser — a real
-// competing flow, not a traffic knob. Everything draws from the decoy's
-// own root RNG (mixSeed), mirroring the standalone assembly's fork order.
-func buildDecoy(sched *simtime.Scheduler, cfg TrialConfig, link netsim.LinkConfig, i int, stagger time.Duration, armed *flowseq.Analyzer) (*decoyFlow, error) {
-	root := simtime.NewRand(mixSeed(cfg.Seed, i))
-	path, err := netsim.NewPath(sched, root.Fork(), netsim.PathConfig{Link: link, Check: cfg.Check})
-	if err != nil {
-		return nil, fmt.Errorf("core: fleet decoy %d path: %w", i, err)
-	}
-	mon := capture.NewMonitor()
-	path.AddTap(mon)
-	ctrl := adversary.NewController(sched, root.Fork(), path)
-	if cfg.Metrics != nil {
-		ctrl.SetMetrics(cfg.Metrics)
-	}
-
-	// A sibling of flow 0's analyzer: same trial index, same collector
-	// (nil when features are off — the selector still gets its feed).
-	id := capture.FleetFlowID(i)
-	an := armed.Sibling(id)
-	mon.SetFlows(an)
-
-	tcp := cfg.TCP
-	tcp.Tracer = nil
-	tcp.Check = nil
-	if cfg.Pool != nil {
-		tcp.Pool = cfg.Pool
-	}
-	pair, err := tcpsim.NewPair(sched, root.Fork(), path, tcp)
-	if err != nil {
-		return nil, fmt.Errorf("core: fleet decoy %d tcp: %w", i, err)
-	}
-
-	site := website.DecoySite(i)
-	plan, err := site.SequentialPlan()
-	if err != nil {
-		return nil, fmt.Errorf("core: fleet decoy %d plan: %w", i, err)
-	}
-	scfg := cfg.Server
-	scfg.Tracer = nil
-	scfg.H2.Tracer = nil
-	scfg.H2.Check = nil
-	scfg.PushEmblems = false
-	srv, err := endpoint.NewServer(sched, root.Fork(), pair.Server, site, scfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: fleet decoy %d server: %w", i, err)
-	}
-	bcfg := cfg.Browser
-	bcfg.Tracer = nil
-	bcfg.H2.Tracer = nil
-	bcfg.H2.Check = nil
-	bcfg.AcceptPush = false
-	bcfg.H2.Flows = an
-	bcfg.Flows = an
-	brw, err := endpoint.NewBrowser(sched, root.Fork(), pair.Client, site, plan, bcfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: fleet decoy %d browser: %w", i, err)
-	}
-	sched.At(time.Duration(i)*stagger, func() {
-		srv.Start()
-		brw.Start()
-	})
-	return &decoyFlow{path: path, monitor: mon, ctrl: ctrl, browser: brw, flows: an, id: id}, nil
-}
-
-// applyKnobs arms the single-parameter interference knobs on one
-// selected flow's controller — the fleet analogue of the standalone
-// single-knob studies, applied at selection time instead of t=0.
-func applyKnobs(sched *simtime.Scheduler, cfg *TrialConfig, ctrl *adversary.Controller) {
-	if cfg.RequestSpacing > 0 {
-		ctrl.SetRequestSpacing(cfg.RequestSpacing)
-	}
-	if cfg.RandomJitter > 0 {
-		ctrl.SetRandomJitter(netsim.ClientToServer, cfg.RandomJitter)
-		ctrl.SetRandomJitter(netsim.ServerToClient, cfg.RandomJitter)
-	}
-	if cfg.ThrottleBps > 0 {
-		ctrl.Throttle(cfg.ThrottleBps)
-	}
-	if cfg.DropRate > 0 && cfg.DropDuration > 0 {
-		ctrl.DropServerData(cfg.DropRate, cfg.DropRate, cfg.DropDuration)
-	}
 }

@@ -7,6 +7,8 @@ import (
 
 	"h2privacy/internal/adversary"
 	"h2privacy/internal/check"
+	"h2privacy/internal/instr"
+	"h2privacy/internal/trace"
 )
 
 // TestFleetN1Identity pins the degenerate-fleet contract: a one-flow fleet
@@ -50,13 +52,13 @@ func TestFleetN1Identity(t *testing.T) {
 func TestFleetN1IdentityChecked(t *testing.T) {
 	plan := adversary.DefaultPlan()
 	rec := check.NewRecorder()
-	a, err := RunTrial(TrialConfig{Seed: 42, Attack: &plan, Check: check.New(42, 0, rec)})
+	a, err := RunTrial(TrialConfig{Seed: 42, Attack: &plan, Bundle: instr.Bundle{Check: check.New(42, 0, rec)}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	recF := check.NewRecorder()
-	b, err := RunTrial(TrialConfig{Seed: 42, Attack: &plan, Check: check.New(42, 0, recF),
-		Fleet: &FleetConfig{N: 1, Budget: 1}})
+	b, err := RunTrial(TrialConfig{Seed: 42, Attack: &plan,
+		Fleet: &FleetConfig{N: 1, Budget: 1}, Bundle: instr.Bundle{Check: check.New(42, 0, recF)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +186,8 @@ func TestFleetCheckedClean(t *testing.T) {
 	plan := adversary.DefaultPlan()
 	plan.Adaptive = true
 	rec := check.NewRecorder()
-	res, err := RunTrial(TrialConfig{Seed: 4242, Attack: &plan, Check: check.New(4242, 0, rec),
-		Fleet: &FleetConfig{N: 40, Budget: 2}})
+	res, err := RunTrial(TrialConfig{Seed: 4242, Attack: &plan,
+		Fleet: &FleetConfig{N: 40, Budget: 2}, Bundle: instr.Bundle{Check: check.New(4242, 0, rec)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,5 +213,31 @@ func TestFleetDecoyStagger(t *testing.T) {
 	}
 	if !(d[2].LoadTime > d[0].LoadTime) {
 		t.Errorf("staggered decoys out of order: first=%v last=%v", d[0].LoadTime, d[2].LoadTime)
+	}
+}
+
+// TestFleetKnobsHonourDropFrom arms the single-knob drop study (no staged
+// attack) on a fleet: the selected flow's drop window must open at
+// DropFrom, as it does in a standalone trial, not at selection time.
+func TestFleetKnobsHonourDropFrom(t *testing.T) {
+	tr := trace.New(nil, trace.Config{})
+	const dropFrom = 2 * time.Second
+	res, err := RunTrial(TrialConfig{Seed: 4242,
+		DropRate: 0.5, DropFrom: dropFrom, DropDuration: time.Second,
+		Fleet: &FleetConfig{N: 10, Budget: 1}, Bundle: instr.Bundle{Trace: tr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Fleet.TargetSelected {
+		t.Fatalf("selector picked %v, want the planted target", res.Fleet.Selected)
+	}
+	var opened []time.Duration
+	for _, ev := range tr.Events() {
+		if ev.Layer == trace.LayerAdversary && ev.Kind == "drop-window" {
+			opened = append(opened, ev.At)
+		}
+	}
+	if len(opened) != 1 || opened[0] != dropFrom {
+		t.Errorf("target drop windows opened at %v, want exactly one at %v", opened, dropFrom)
 	}
 }

@@ -30,8 +30,8 @@ func (tb *Testbed) Timeline(res *TrialResult) []TimelineEvent {
 		evs = append(evs, TimelineEvent{At: at, Actor: actor, What: what})
 	}
 	brokenLogged := false
-	if tb.Tracer.Enabled() {
-		for _, ev := range tb.Tracer.Events() {
+	if tb.cfg.Trace.Enabled() {
+		for _, ev := range tb.cfg.Trace.Events() {
 			if what, actor, ok := timelineEntry(ev); ok {
 				add(ev.At, actor, what)
 				if actor == "browser" && ev.Kind == "broken" {

@@ -7,6 +7,7 @@ import (
 
 	"h2privacy/internal/flowseq"
 	"h2privacy/internal/h2"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/simtime"
 	"h2privacy/internal/tcpsim"
 	"h2privacy/internal/trace"
@@ -50,13 +51,6 @@ type BrowserConfig struct {
 	// H2 tunes the client HTTP/2 endpoint. InitialWindowSize defaults to
 	// 1 MiB here (browser-like), not the RFC 65535.
 	H2 h2.Config
-	// Tracer, when non-nil, arms browser-layer tracing (requests, resets,
-	// completions).
-	Tracer *trace.Tracer
-	// Flows, when non-nil, receives request/object-done annotations so the
-	// flowseq analyzer can label per-stream features with object IDs and
-	// request kinds. Set H2.Flows on the same config to feed it frames.
-	Flows *flowseq.Analyzer
 }
 
 func (c BrowserConfig) withDefaults() BrowserConfig {
@@ -182,8 +176,12 @@ type Browser struct {
 	fl *flowseq.Analyzer
 }
 
-// NewBrowser builds the browser endpoint over its TCP connection.
-func NewBrowser(sched *simtime.Scheduler, rng *simtime.Rand, tcp *tcpsim.Conn, site *website.Site, plan *website.Plan, cfg BrowserConfig) (*Browser, error) {
+// NewBrowser builds the browser endpoint over its TCP connection. ins.Trace
+// arms browser-layer tracing (requests, resets, completions) and ins.Flows
+// receives request and object-done annotations, which label the flowseq
+// analyzer's per-stream features with object IDs and request kinds; the
+// whole bundle arms the browser's HTTP/2 connection.
+func NewBrowser(sched *simtime.Scheduler, rng *simtime.Rand, tcp *tcpsim.Conn, site *website.Site, plan *website.Plan, cfg BrowserConfig, ins instr.Bundle) (*Browser, error) {
 	if site == nil || plan == nil {
 		return nil, fmt.Errorf("endpoint: NewBrowser requires a site and plan")
 	}
@@ -200,9 +198,9 @@ func NewBrowser(sched *simtime.Scheduler, rng *simtime.Rand, tcp *tcpsim.Conn, s
 	b.resetWait = b.cfg.ResetTimeout
 	b.retryWait = b.cfg.RetryTimeout
 	b.stall.Init(sched, b.onStallCheck)
-	b.tr = b.cfg.Tracer
-	b.fl = b.cfg.Flows
-	st, err := newStack(tcp, true, rng, b.cfg.H2, func(err error) { b.break_(err.Error()) })
+	b.tr = ins.Trace
+	b.fl = ins.Flows
+	st, err := newStack(tcp, true, rng, b.cfg.H2, ins, func(err error) { b.break_(err.Error()) })
 	if err != nil {
 		return nil, err
 	}

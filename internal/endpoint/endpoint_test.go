@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"h2privacy/internal/adversary"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/metrics"
 	"h2privacy/internal/netsim"
 	"h2privacy/internal/simtime"
@@ -27,11 +28,11 @@ func newTestbed(t *testing.T, seed int64, link netsim.LinkConfig, perm []int) *t
 	tb := &testbed{sched: simtime.NewScheduler(), site: website.ISideWith()}
 	rng := simtime.NewRand(seed)
 	var err error
-	tb.path, err = netsim.NewPath(tb.sched, rng.Fork(), netsim.PathConfig{Link: link})
+	tb.path, err = netsim.NewPath(tb.sched, rng.Fork(), netsim.PathConfig{Link: link}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := tcpsim.NewPair(tb.sched, rng.Fork(), tb.path, tcpsim.Config{})
+	pair, err := tcpsim.NewPair(tb.sched, rng.Fork(), tb.path, tcpsim.Config{}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +40,11 @@ func newTestbed(t *testing.T, seed int64, link netsim.LinkConfig, perm []int) *t
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.server, err = NewServer(tb.sched, rng.Fork(), pair.Server, tb.site, ServerConfig{})
+	tb.server, err = NewServer(tb.sched, rng.Fork(), pair.Server, tb.site, ServerConfig{}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.browser, err = NewBrowser(tb.sched, rng.Fork(), pair.Client, tb.site, tb.plan, BrowserConfig{})
+	tb.browser, err = NewBrowser(tb.sched, rng.Fork(), pair.Client, tb.site, tb.plan, BrowserConfig{}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,15 +134,15 @@ func TestRequestSpacingSerializesTarget(t *testing.T) {
 	for seed := int64(0); seed < trials; seed++ {
 		sched := simtime.NewScheduler()
 		rng := simtime.NewRand(700 + seed)
-		path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: goodLink()})
+		path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: goodLink()}, instr.Bundle{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The adversary's targeted spacing: delay the k-th GET by k·80 ms
 		// (retransmitted copies are delayed alongside, as netem does).
-		ctrl := adversary.NewController(sched, rng.Fork(), path)
+		ctrl := adversary.NewController(sched, rng.Fork(), path, instr.Bundle{})
 		ctrl.SetRequestSpacing(80 * time.Millisecond)
-		pair, err := tcpsim.NewPair(sched, rng.Fork(), path, tcpsim.Config{})
+		pair, err := tcpsim.NewPair(sched, rng.Fork(), path, tcpsim.Config{}, instr.Bundle{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,14 +151,14 @@ func TestRequestSpacingSerializesTarget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		server, err := NewServer(sched, rng.Fork(), pair.Server, site, ServerConfig{})
+		server, err := NewServer(sched, rng.Fork(), pair.Server, site, ServerConfig{}, instr.Bundle{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		browser, err := NewBrowser(sched, rng.Fork(), pair.Client, site, plan, BrowserConfig{
 			RetryTimeout: time.Hour,
 			ResetTimeout: time.Hour,
-		})
+		}, instr.Bundle{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +180,7 @@ func TestBrowserRetriesOnStalledResponse(t *testing.T) {
 	// issue a duplicate GET and the server serve a second instance.
 	sched := simtime.NewScheduler()
 	rng := simtime.NewRand(11)
-	path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: goodLink()})
+	path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: goodLink()}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,17 +189,17 @@ func TestBrowserRetriesOnStalledResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := tcpsim.NewPair(sched, rng.Fork(), path, tcpsim.Config{})
+	pair, err := tcpsim.NewPair(sched, rng.Fork(), path, tcpsim.Config{}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	server, err := NewServer(sched, rng.Fork(), pair.Server, site, ServerConfig{})
+	server, err := NewServer(sched, rng.Fork(), pair.Server, site, ServerConfig{}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	browser, err := NewBrowser(sched, rng.Fork(), pair.Client, site, plan, BrowserConfig{
 		RetryTimeout: 150 * time.Millisecond,
-	})
+	}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"h2privacy/internal/h2"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/metrics"
 	"h2privacy/internal/netsim"
 	"h2privacy/internal/simtime"
@@ -18,11 +19,11 @@ func buildPair(t *testing.T, seed int64, link netsim.LinkConfig, scfg ServerConf
 	t.Helper()
 	sched := simtime.NewScheduler()
 	rng := simtime.NewRand(seed)
-	path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: link})
+	path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: link}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := tcpsim.NewPair(sched, rng.Fork(), path, tcpsim.Config{})
+	pair, err := tcpsim.NewPair(sched, rng.Fork(), path, tcpsim.Config{}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,11 +32,11 @@ func buildPair(t *testing.T, seed int64, link netsim.LinkConfig, scfg ServerConf
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(sched, rng.Fork(), pair.Server, site, scfg)
+	srv, err := NewServer(sched, rng.Fork(), pair.Server, site, scfg, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := NewBrowser(sched, rng.Fork(), pair.Client, site, plan, bcfg)
+	cli, err := NewBrowser(sched, rng.Fork(), pair.Client, site, plan, bcfg, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,21 +109,21 @@ func TestDynamicRenderCache(t *testing.T) {
 	// second (fresh stream) hits the cache and starts much sooner.
 	sched := simtime.NewScheduler()
 	rng := simtime.NewRand(5)
-	path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: goodLink()})
+	path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: goodLink()}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := tcpsim.NewPair(sched, rng.Fork(), path, tcpsim.Config{})
+	pair, err := tcpsim.NewPair(sched, rng.Fork(), path, tcpsim.Config{}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	site := website.ISideWith()
-	srv, err := NewServer(sched, rng.Fork(), pair.Server, site, ServerConfig{})
+	srv, err := NewServer(sched, rng.Fork(), pair.Server, site, ServerConfig{}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Drive the server with a bare h2 client stack.
-	cli, err := newStack(pair.Client, true, rng.Fork(), h2.Config{}, func(error) {})
+	cli, err := newStack(pair.Client, true, rng.Fork(), h2.Config{}, instr.Bundle{}, func(error) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +207,11 @@ func TestServerBackpressurePausesTasks(t *testing.T) {
 func TestH1EndpointsServeFullPage(t *testing.T) {
 	sched := simtime.NewScheduler()
 	rng := simtime.NewRand(7)
-	path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: goodLink()})
+	path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: goodLink()}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := tcpsim.NewPair(sched, rng.Fork(), path, tcpsim.Config{})
+	pair, err := tcpsim.NewPair(sched, rng.Fork(), path, tcpsim.Config{}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestBrowserRetryCap(t *testing.T) {
 	// disabled) would take over.
 	sched := simtime.NewScheduler()
 	rng := simtime.NewRand(31)
-	path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: goodLink()})
+	path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: goodLink()}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestBrowserRetryCap(t *testing.T) {
 		seg := pkt.Payload.(*tcpsim.Segment)
 		return netsim.Verdict{Drop: len(seg.Payload) > 0 && now > 100*time.Millisecond}
 	}))
-	pair, err := tcpsim.NewPair(sched, rng.Fork(), path, tcpsim.Config{MaxRetries: 50})
+	pair, err := tcpsim.NewPair(sched, rng.Fork(), path, tcpsim.Config{MaxRetries: 50}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestBrowserRetryCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(sched, rng.Fork(), pair.Server, site, ServerConfig{})
+	srv, err := NewServer(sched, rng.Fork(), pair.Server, site, ServerConfig{}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestBrowserRetryCap(t *testing.T) {
 		RetryTimeout: 200 * time.Millisecond,
 		MaxRetries:   2,
 		ResetTimeout: time.Hour,
-	})
+	}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestBrowserResetBudgetBreaks(t *testing.T) {
 	// the browser must give up after MaxResets cycles.
 	sched := simtime.NewScheduler()
 	rng := simtime.NewRand(33)
-	path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: goodLink()})
+	path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: goodLink()}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +344,7 @@ func TestBrowserResetBudgetBreaks(t *testing.T) {
 		seg := pkt.Payload.(*tcpsim.Segment)
 		return netsim.Verdict{Drop: len(seg.Payload) > 0 && now > 100*time.Millisecond}
 	}))
-	pair, err := tcpsim.NewPair(sched, rng.Fork(), path, tcpsim.Config{MaxRetries: 100, MaxRTO: 500 * time.Millisecond})
+	pair, err := tcpsim.NewPair(sched, rng.Fork(), path, tcpsim.Config{MaxRetries: 100, MaxRTO: 500 * time.Millisecond}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +353,7 @@ func TestBrowserResetBudgetBreaks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(sched, rng.Fork(), pair.Server, site, ServerConfig{})
+	srv, err := NewServer(sched, rng.Fork(), pair.Server, site, ServerConfig{}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +361,7 @@ func TestBrowserResetBudgetBreaks(t *testing.T) {
 		RetryTimeout: time.Hour,
 		ResetTimeout: 500 * time.Millisecond,
 		MaxResets:    2,
-	})
+	}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}

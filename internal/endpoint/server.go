@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"h2privacy/internal/h2"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/metrics"
 	"h2privacy/internal/simtime"
 	"h2privacy/internal/tcpsim"
@@ -53,8 +54,6 @@ type ServerConfig struct {
 	SendBufLimit int
 	// H2 tunes the server's HTTP/2 endpoint.
 	H2 h2.Config
-	// Tracer, when non-nil, arms server-layer tracing (task lifecycle).
-	Tracer *trace.Tracer
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -127,8 +126,10 @@ type Server struct {
 	tr *trace.Tracer
 }
 
-// NewServer builds the server endpoint over its TCP connection.
-func NewServer(sched *simtime.Scheduler, rng *simtime.Rand, tcp *tcpsim.Conn, site *website.Site, cfg ServerConfig) (*Server, error) {
+// NewServer builds the server endpoint over its TCP connection. ins.Trace
+// arms server-layer tracing (task lifecycle); the whole bundle arms the
+// server's HTTP/2 connection.
+func NewServer(sched *simtime.Scheduler, rng *simtime.Rand, tcp *tcpsim.Conn, site *website.Site, cfg ServerConfig, ins instr.Bundle) (*Server, error) {
 	if site == nil {
 		return nil, fmt.Errorf("endpoint: NewServer requires a site")
 	}
@@ -142,10 +143,10 @@ func NewServer(sched *simtime.Scheduler, rng *simtime.Rand, tcp *tcpsim.Conn, si
 		instances: make(map[string]int),
 		rendered:  make(map[string]bool),
 	}
-	srv.tr = srv.cfg.Tracer
+	srv.tr = ins.Trace
 	srv.dispatchFn = srv.dispatch
 	srv.stepFn = func(v any) { srv.step(v.(*task)) }
-	st, err := newStack(tcp, false, rng, srv.cfg.H2, func(err error) {
+	st, err := newStack(tcp, false, rng, srv.cfg.H2, ins, func(err error) {
 		if srv.fatalErr == nil {
 			srv.fatalErr = err
 		}

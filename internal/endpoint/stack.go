@@ -16,6 +16,7 @@ package endpoint
 
 import (
 	"h2privacy/internal/h2"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/simtime"
 	"h2privacy/internal/tcpsim"
 	"h2privacy/internal/tlsrec"
@@ -41,8 +42,9 @@ type stack struct {
 }
 
 // newStack wires the three layers. isClient selects TLS/h2 roles; rng
-// seeds the TLS handshake randomness; h2cfg tunes the HTTP/2 endpoint.
-func newStack(tcp *tcpsim.Conn, isClient bool, rng *simtime.Rand, h2cfg h2.Config, onFatal func(error)) (*stack, error) {
+// seeds the TLS handshake randomness; h2cfg tunes the HTTP/2 endpoint and
+// ins instruments it.
+func newStack(tcp *tcpsim.Conn, isClient bool, rng *simtime.Rand, h2cfg h2.Config, ins instr.Bundle, onFatal func(error)) (*stack, error) {
 	s := &stack{tcp: tcp, onFatal: onFatal}
 	var random [32]byte
 	for i := range random {
@@ -54,7 +56,7 @@ func newStack(tcp *tcpsim.Conn, isClient bool, rng *simtime.Rand, h2cfg h2.Confi
 		}
 	})
 	var err error
-	s.h2c, err = h2.NewConn(isClient, h2cfg, func(b []byte) {
+	s.h2c, err = h2.NewConn(isClient, h2cfg, ins, func(b []byte) {
 		if s.tapH2Out != nil {
 			s.tapH2Out(b)
 		}

@@ -7,6 +7,7 @@ import (
 	"h2privacy/internal/adversary"
 	"h2privacy/internal/check"
 	"h2privacy/internal/core"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/tcpsim"
 )
 
@@ -86,7 +87,7 @@ func TestSweepCheckViolationsCarrySeedAndRepro(t *testing.T) {
 		t.Fatal("no first violation")
 	}
 	rec2 := check.NewRecorder()
-	cfg := core.TrialConfig{Seed: first.TrialSeed, Attack: &plan, Check: check.New(first.TrialSeed, 0, rec2)}
+	cfg := core.TrialConfig{Seed: first.TrialSeed, Attack: &plan, Bundle: instr.Bundle{Check: check.New(first.TrialSeed, 0, rec2)}}
 	res, err := core.RunTrial(cfg)
 	if err != nil {
 		t.Fatal(err)

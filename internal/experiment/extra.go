@@ -8,6 +8,7 @@ import (
 	"h2privacy/internal/capture"
 	"h2privacy/internal/core"
 	"h2privacy/internal/endpoint"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/metrics"
 	"h2privacy/internal/netsim"
 	"h2privacy/internal/predict"
@@ -232,13 +233,13 @@ func H1Baseline(opts Options) (*Report, error) {
 		seed := seedFor(opts.BaseSeed, 0, trials, t)
 		sched := simtime.NewScheduler()
 		rng := simtime.NewRand(seed)
-		path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: core.DefaultLink()})
+		path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: core.DefaultLink()}, instr.Bundle{})
 		if err != nil {
 			return err
 		}
-		mon := capture.NewMonitor()
+		mon := capture.NewMonitor(instr.Bundle{})
 		path.AddTap(mon)
-		pair, err := tcpsim.NewPair(sched, rng.Fork(), path, tcpsim.Config{})
+		pair, err := tcpsim.NewPair(sched, rng.Fork(), path, tcpsim.Config{}, instr.Bundle{})
 		if err != nil {
 			return err
 		}

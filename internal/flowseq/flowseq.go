@@ -177,7 +177,7 @@ func (a *Analyzer) Concurrent() {
 }
 
 // SetClock rebinds the timestamp source — core.NewTestbed points it at the
-// trial's virtual clock, mirroring the tracer fan-out. No-op on nil.
+// trial's virtual clock, as it does the tracer's. No-op on nil.
 func (a *Analyzer) SetClock(c Clock) {
 	if a == nil || c == nil {
 		return
@@ -193,6 +193,14 @@ func (a *Analyzer) SetFlow(id string) {
 		return
 	}
 	a.flow = id
+}
+
+// Flow returns the flow identifier SetFlow named; empty on nil.
+func (a *Analyzer) Flow() string {
+	if a == nil {
+		return ""
+	}
+	return a.flow
 }
 
 func (a *Analyzer) now() time.Duration {

@@ -6,6 +6,7 @@ import (
 	"h2privacy/internal/check"
 	"h2privacy/internal/flowseq"
 	"h2privacy/internal/hpack"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/trace"
 )
 
@@ -36,23 +37,9 @@ type Config struct {
 	PadData func(n int) int
 	// HuffmanHeaders Huffman-codes outgoing HPACK string literals.
 	HuffmanHeaders bool
-	// Tracer, when non-nil, arms per-frame tracing (send/recv with type,
-	// stream and length; flow-control stalls).
-	Tracer *trace.Tracer
-	// TraceName tags this endpoint's trace events. Defaults to "client" or
-	// "server" by role.
+	// TraceName tags this endpoint's trace events and invariant checks.
+	// Defaults to "client" or "server" by role.
 	TraceName string
-	// Check, when non-nil, arms the HTTP/2 and HPACK invariant checkers
-	// (see internal/check): stream-state legality, flow-control window
-	// shadows, and dynamic-table size agreement. The endpoint name follows
-	// TraceName's defaulting.
-	Check *check.Checker
-	// Flows, when non-nil, feeds every frame sent and received to the
-	// flowseq event-sequence analyzer (per-stream timelines, burst and
-	// interleaving features). Wire exactly one endpoint per flow — the
-	// testbed wires the browser's connection, h2serve the server's —
-	// because the analyzer resolves direction from this endpoint's role.
-	Flows *flowseq.Analyzer
 }
 
 func (c Config) withDefaults() Config {
@@ -179,8 +166,7 @@ type Conn struct {
 	traceName string
 	ctStall   *trace.Counter
 
-	ck     *check.Checker // nil unless invariant checks are armed
-	ckName string
+	ck *check.Checker // nil unless invariant checks are armed
 
 	fl *flowseq.Analyzer // nil unless flow-sequence analytics are armed
 }
@@ -189,7 +175,15 @@ type Conn struct {
 // frame, which the TLS layer seals as one record) and must be non-nil.
 // The slice passed to out is scratch the connection reuses for the next
 // frame: consumers that keep the bytes past the callback must copy them.
-func NewConn(isClient bool, cfg Config, out func([]byte)) (*Conn, error) {
+//
+// ins.Trace arms per-frame tracing (send/recv with type, stream and
+// length; flow-control stalls). ins.Check arms the HTTP/2 and HPACK
+// invariant checkers: stream-state legality, flow-control window shadows
+// and dynamic-table size agreement. ins.Flows receives every frame sent
+// and received; the analyzer resolves direction from this endpoint's
+// role, so arm it on one endpoint per flow (the testbed arms the
+// browser's connection, h2serve the server's).
+func NewConn(isClient bool, cfg Config, ins instr.Bundle, out func([]byte)) (*Conn, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -227,31 +221,19 @@ func NewConn(isClient bool, cfg Config, out func([]byte)) (*Conn, error) {
 		c.nextStreamID = 2
 		c.prefacePending = []byte(ClientPreface)
 	}
-	if cfg.Tracer.Enabled() {
-		c.tr = cfg.Tracer
-		c.traceName = cfg.TraceName
-		if c.traceName == "" {
-			if isClient {
-				c.traceName = "client"
-			} else {
-				c.traceName = "server"
-			}
+	c.traceName = cfg.TraceName
+	if c.traceName == "" {
+		if isClient {
+			c.traceName = "client"
+		} else {
+			c.traceName = "server"
 		}
+	}
+	c.tr, c.ck, c.fl = ins.Trace, ins.Check, ins.Flows
+	if c.tr.Enabled() {
 		c.ctStall = c.tr.Counter(trace.LayerH2, c.traceName+".fc-stall")
 	}
-	if cfg.Check.Enabled() {
-		c.ck = cfg.Check
-		c.ckName = cfg.TraceName
-		if c.ckName == "" {
-			if isClient {
-				c.ckName = "client"
-			} else {
-				c.ckName = "server"
-			}
-		}
-		c.ck.H2Register(c.ckName, isClient, cfg.InitialWindowSize)
-	}
-	c.fl = cfg.Flows
+	c.ck.H2Register(c.traceName, isClient, cfg.InitialWindowSize)
 	return c, nil
 }
 
@@ -350,7 +332,7 @@ func (c *Conn) Push(parent *Stream, fields []HeaderField) (*Stream, error) {
 	block := c.henc.Encode(c.hencBuf[:0], fields)
 	c.hencBuf = block
 	if c.ck.Enabled() {
-		c.ck.HpackEncoded(c.ckName, c.henc.DynamicTableSize())
+		c.ck.HpackEncoded(c.traceName, c.henc.DynamicTableSize())
 	}
 	c.emitFrame(FramePushPromise, parent.id, func(dst []byte) []byte {
 		return AppendPushPromise(dst, parent.id, id, block, true)
@@ -437,7 +419,7 @@ func (c *Conn) sendHeaderBlock(streamID uint32, fields []HeaderField, endStream 
 	block := c.henc.Encode(c.hencBuf[:0], fields)
 	c.hencBuf = block
 	if c.ck.Enabled() {
-		c.ck.HpackEncoded(c.ckName, c.henc.DynamicTableSize())
+		c.ck.HpackEncoded(c.traceName, c.henc.DynamicTableSize())
 	}
 	max := c.peerMaxFrameSize
 	if !prio.IsZero() {
@@ -502,7 +484,7 @@ func (c *Conn) emitFrame(t FrameType, streamID uint32, build func([]byte) []byte
 			p := b[FrameHeaderSize:]
 			aux = (uint32(p[0])<<24 | uint32(p[1])<<16 | uint32(p[2])<<8 | uint32(p[3])) & 0x7fffffff
 		}
-		c.ck.H2FrameSent(c.ckName, uint8(t), streamID, len(b)-FrameHeaderSize, b[4], aux)
+		c.ck.H2FrameSent(c.traceName, uint8(t), streamID, len(b)-FrameHeaderSize, b[4], aux)
 	}
 	if c.fl.Enabled() {
 		c.fl.H2Frame(c.isClient, true, uint8(t), streamID, len(b)-FrameHeaderSize, b[4])

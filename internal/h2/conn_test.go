@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"h2privacy/internal/instr"
 )
 
 // wirePair connects two Conns back-to-back through byte queues that the
@@ -25,11 +27,11 @@ func newWirePair(t *testing.T, clientCfg, serverCfg Config) *wirePair {
 	var err error
 	// The emitted slice is scratch the Conn reuses per frame; queueing it
 	// for a later pump means copying, like the real transports do.
-	w.client, err = NewConn(true, clientCfg, func(b []byte) { w.toServer = append(w.toServer, append([]byte(nil), b...)) })
+	w.client, err = NewConn(true, clientCfg, instr.Bundle{}, func(b []byte) { w.toServer = append(w.toServer, append([]byte(nil), b...)) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.server, err = NewConn(false, serverCfg, func(b []byte) { w.toClient = append(w.toClient, append([]byte(nil), b...)) })
+	w.server, err = NewConn(false, serverCfg, instr.Bundle{}, func(b []byte) { w.toClient = append(w.toClient, append([]byte(nil), b...)) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +458,7 @@ func TestPaddingEndToEnd(t *testing.T) {
 }
 
 func TestBadPrefaceKillsConnection(t *testing.T) {
-	server, err := NewConn(false, Config{}, func([]byte) {})
+	server, err := NewConn(false, Config{}, instr.Bundle{}, func([]byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}

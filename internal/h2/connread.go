@@ -98,7 +98,7 @@ func (c *Conn) processFrame(f *Frame) error {
 		case FramePushPromise:
 			aux = f.PromisedStreamID
 		}
-		c.ck.H2FrameRecv(c.ckName, uint8(t), f.Header.StreamID, f.Header.Length, uint8(f.Header.Flags), aux)
+		c.ck.H2FrameRecv(c.traceName, uint8(t), f.Header.StreamID, f.Header.Length, uint8(f.Header.Flags), aux)
 	}
 	if c.fl.Enabled() {
 		c.fl.H2Frame(c.isClient, false, uint8(t), f.Header.StreamID, f.Header.Length, uint8(f.Header.Flags))
@@ -176,7 +176,7 @@ func (c *Conn) processSettings(f *Frame) error {
 				st.sendWindow += delta
 			}
 			if c.ck.Enabled() {
-				c.ck.H2PeerInitialWindow(c.ckName, s.Val)
+				c.ck.H2PeerInitialWindow(c.traceName, s.Val)
 			}
 			if delta > 0 {
 				c.notifyWindow(nil)
@@ -238,7 +238,7 @@ func (c *Conn) processData(f *Frame) error {
 	c.stats.DataBytesRcvd += int64(len(f.Data))
 	endStream := f.Header.Flags.Has(FlagEndStream)
 	if c.ck.Enabled() {
-		c.ck.H2AppData(c.ckName, id)
+		c.ck.H2AppData(c.traceName, id)
 	}
 	if c.handlers.OnStreamData != nil {
 		c.handlers.OnStreamData(s, f.Data, endStream)
@@ -339,7 +339,7 @@ func (c *Conn) finishHeaderBlock(s *Stream, block []byte, endStream bool) error 
 		return ConnectionError{ErrCodeCompression, err.Error()}
 	}
 	if c.ck.Enabled() {
-		c.ck.HpackDecoded(c.ckName, c.hdec.DynamicTableSize())
+		c.ck.HpackDecoded(c.traceName, c.hdec.DynamicTableSize())
 	}
 	if s.orphan {
 		return nil // decoded for table continuity only
@@ -449,7 +449,7 @@ func (c *Conn) finishPushPromise(parent, promised *Stream, block []byte) error {
 		return ConnectionError{ErrCodeCompression, err.Error()}
 	}
 	if c.ck.Enabled() {
-		c.ck.HpackDecoded(c.ckName, c.hdec.DynamicTableSize())
+		c.ck.HpackDecoded(c.traceName, c.hdec.DynamicTableSize())
 	}
 	if c.handlers.OnPushPromise != nil {
 		c.handlers.OnPushPromise(parent, promised, fields)

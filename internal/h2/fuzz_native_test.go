@@ -6,6 +6,7 @@ import (
 
 	"h2privacy/internal/check"
 	"h2privacy/internal/hpack"
+	"h2privacy/internal/instr"
 )
 
 // harvestFrames runs an in-process client/server exchange — with every h2
@@ -19,7 +20,7 @@ func harvestFrames(tb testing.TB) [][]byte {
 	ck := check.New(1, 0, rec)
 	var frames [][]byte
 	var toServer, toClient [][]byte
-	client, err := NewConn(true, Config{Check: ck, TraceName: "client", EnablePush: true},
+	client, err := NewConn(true, Config{TraceName: "client", EnablePush: true}, instr.Bundle{Check: ck},
 		func(b []byte) {
 			cp := append([]byte(nil), b...) // b is per-frame scratch
 			frames = append(frames, cp)
@@ -28,7 +29,7 @@ func harvestFrames(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	server, err := NewConn(false, Config{Check: ck, TraceName: "server", PadData: func(int) int { return 16 }},
+	server, err := NewConn(false, Config{TraceName: "server", PadData: func(int) int { return 16 }}, instr.Bundle{Check: ck},
 		func(b []byte) {
 			cp := append([]byte(nil), b...) // b is per-frame scratch
 			frames = append(frames, cp)
@@ -90,7 +91,7 @@ func FuzzConnFeed(f *testing.F) {
 	}
 	f.Add([]byte(ClientPreface))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		srv, err := NewConn(false, Config{}, func([]byte) {})
+		srv, err := NewConn(false, Config{}, instr.Bundle{}, func([]byte) {})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,8 @@ package h2
 import (
 	"testing"
 	"testing/quick"
+
+	"h2privacy/internal/instr"
 )
 
 // Property: arbitrary bytes fed to a started server connection never
@@ -15,7 +17,7 @@ func TestHostileBytesNeverPanic(t *testing.T) {
 				ok = false
 			}
 		}()
-		srv, err := NewConn(false, Config{}, func([]byte) {})
+		srv, err := NewConn(false, Config{}, instr.Bundle{}, func([]byte) {})
 		if err != nil {
 			return false
 		}
@@ -45,7 +47,7 @@ func TestHostileBytesNeverPanic(t *testing.T) {
 // without killing the connection.
 func TestUnknownFramesNeverFatal(t *testing.T) {
 	f := func(types []uint8, payloadLen uint16) bool {
-		srv, err := NewConn(false, Config{}, func([]byte) {})
+		srv, err := NewConn(false, Config{}, instr.Bundle{}, func([]byte) {})
 		if err != nil {
 			return false
 		}

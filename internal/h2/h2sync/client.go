@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"h2privacy/internal/h2"
+	"h2privacy/internal/instr"
 )
 
 // Response is a completed HTTP/2 response.
@@ -33,7 +34,7 @@ type Client struct {
 // NewClient starts a client on nc. The returned client owns a background
 // read goroutine that lives until Close.
 func NewClient(nc net.Conn, cfg h2.Config, random [32]byte) (*Client, error) {
-	p, err := newPeer(nc, true, cfg, random)
+	p, err := newPeer(nc, true, cfg, instr.Bundle{}, random)
 	if err != nil {
 		return nil, err
 	}

@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"h2privacy/internal/h2"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/tlsrec"
 )
 
@@ -45,7 +46,7 @@ type peer struct {
 	wg sync.WaitGroup
 }
 
-func newPeer(nc net.Conn, isClient bool, cfg h2.Config, random [32]byte) (*peer, error) {
+func newPeer(nc net.Conn, isClient bool, cfg h2.Config, ins instr.Bundle, random [32]byte) (*peer, error) {
 	p := &peer{nc: nc}
 	p.cond = sync.NewCond(&p.mu)
 	p.tls = tlsrec.NewConn(isClient, random, func(b []byte) {
@@ -66,7 +67,7 @@ func newPeer(nc net.Conn, isClient bool, cfg h2.Config, random [32]byte) (*peer,
 		p.pendingOut = nil
 	})
 	var err error
-	p.h2c, err = h2.NewConn(isClient, cfg, func(b []byte) {
+	p.h2c, err = h2.NewConn(isClient, cfg, ins, func(b []byte) {
 		if !p.tls.Established() {
 			cp := make([]byte, len(b))
 			copy(cp, b)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"h2privacy/internal/h2"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/trace"
 )
 
@@ -402,8 +403,9 @@ func TestConcurrentTracer(t *testing.T) {
 	tr := trace.New(trace.WallClock(), trace.Config{Concurrent: true})
 	sc, cc := net.Pipe()
 	srv := &Server{
-		Config:  h2.Config{Tracer: tr, TraceName: "server"},
-		Handler: echoHandler,
+		Config:      h2.Config{TraceName: "server"},
+		Instruments: instr.Bundle{Trace: tr},
+		Handler:     echoHandler,
 	}
 	done := make(chan struct{})
 	go func() {

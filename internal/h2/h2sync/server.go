@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"h2privacy/internal/h2"
+	"h2privacy/internal/instr"
 )
 
 // Request is a decoded HTTP/2 request.
@@ -105,6 +106,8 @@ type Server struct {
 	Handler HandlerFunc
 	// Config tunes the h2 endpoint.
 	Config h2.Config
+	// Instruments arms every served connection's h2 endpoint.
+	Instruments instr.Bundle
 	// Random seeds the TLS handshake; zero is fine for tests.
 	Random [32]byte
 }
@@ -115,7 +118,7 @@ func (s *Server) Serve(nc net.Conn) error {
 	if s.Handler == nil {
 		return fmt.Errorf("h2sync: Server requires a Handler")
 	}
-	p, err := newPeer(nc, false, s.Config, s.Random)
+	p, err := newPeer(nc, false, s.Config, s.Instruments, s.Random)
 	if err != nil {
 		return err
 	}

@@ -160,7 +160,7 @@ func (s *Stream) SendData(p []byte, endStream bool) (int, error) {
 		s.sendWindow -= consumed
 		s.conn.sendWindow -= consumed
 		if c := s.conn; c.ck.Enabled() {
-			c.ck.H2DataSent(c.ckName, s.id, int(consumed))
+			c.ck.H2DataSent(c.traceName, s.id, int(consumed))
 		}
 		s.conn.stats.DataBytesSent += int64(chunk)
 		sent += chunk

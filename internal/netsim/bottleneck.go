@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"h2privacy/internal/check"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/pool"
 	"h2privacy/internal/simtime"
 )
@@ -88,6 +90,7 @@ type Bottleneck struct {
 	sched *simtime.Scheduler
 	cfg   BottleneckConfig
 	dirs  [2]aggDir
+	ck    *check.Checker
 
 	svcDoneEv func(any)
 	entryFree pool.FreeList[aggEntry]
@@ -128,15 +131,17 @@ type aggEntry struct {
 	dup      bool
 }
 
-// NewBottleneck builds a shared bottleneck over the scheduler.
-func NewBottleneck(sched *simtime.Scheduler, cfg BottleneckConfig) (*Bottleneck, error) {
+// NewBottleneck builds a shared bottleneck over the scheduler. ins.Check
+// arms packet conservation on every attached link, whatever the path was
+// built with, so the aggregate and the per-flow sums are checked together.
+func NewBottleneck(sched *simtime.Scheduler, cfg BottleneckConfig, ins instr.Bundle) (*Bottleneck, error) {
 	if sched == nil {
 		return nil, fmt.Errorf("netsim: NewBottleneck requires a scheduler")
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	b := &Bottleneck{sched: sched, cfg: cfg}
+	b := &Bottleneck{sched: sched, cfg: cfg, ck: ins.Check}
 	b.svcDoneEv = b.onServiceDone
 	for i := range b.dirs {
 		d := &b.dirs[i]
@@ -155,8 +160,8 @@ func (b *Bottleneck) Stats(dir Direction) AggStats {
 
 // Attach routes both of a path's links through the bottleneck. Member
 // links keep their own loss/jitter/duplication and middlebox processors;
-// only the queue byte budget and the serializer become shared. Attach
-// order defines the DRR service order, so fleets attach flows in index
+// only the queue byte budget and the serializer become shared, and their
+// conservation is checked by the bottleneck's checker. Attach order defines the DRR service order, so fleets attach flows in index
 // order.
 func (b *Bottleneck) Attach(p *Path) {
 	b.attachLink(p.c2s)
@@ -165,6 +170,7 @@ func (b *Bottleneck) Attach(p *Path) {
 
 func (b *Bottleneck) attachLink(l *Link) {
 	l.agg = b
+	l.ck = b.ck
 	d := &b.dirs[dirIndex(l.dir)]
 	q := &aggQueue{link: l}
 	l.aggQ = q

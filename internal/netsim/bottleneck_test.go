@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"h2privacy/internal/instr"
 	"h2privacy/internal/simtime"
 )
 
@@ -25,13 +26,13 @@ func newBottleneckHarness(t *testing.T, n int, link LinkConfig, cfg BottleneckCo
 		atServer: make([][]time.Duration, n),
 		atClient: make([][]time.Duration, n),
 	}
-	bn, err := NewBottleneck(h.sched, cfg)
+	bn, err := NewBottleneck(h.sched, cfg, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.bn = bn
 	for i := 0; i < n; i++ {
-		p, err := NewPath(h.sched, simtime.NewRand(int64(i+1)), PathConfig{Link: link})
+		p, err := NewPath(h.sched, simtime.NewRand(int64(i+1)), PathConfig{Link: link}, instr.Bundle{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +67,7 @@ func TestBottleneckMirrorsStandalone(t *testing.T) {
 	}
 
 	solo := simtime.NewScheduler()
-	sp, err := NewPath(solo, simtime.NewRand(1), PathConfig{Link: link})
+	sp, err := NewPath(solo, simtime.NewRand(1), PathConfig{Link: link}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"h2privacy/internal/instr"
 	"h2privacy/internal/obs"
 	"h2privacy/internal/simtime"
 	"h2privacy/internal/trace"
@@ -38,8 +39,7 @@ type FaultTransition struct {
 }
 
 // Injector schedules fault events against one path. Build it with
-// NewInjector, optionally attach a KnobWiper / tracer / metrics registry,
-// then either arm a named Scenario or call the Schedule* primitives
+// NewInjector, optionally attach a KnobWiper, then either arm a named Scenario or call the Schedule* primitives
 // directly. All primitives may be composed; each owns an RNG fork so their
 // draws never perturb each other.
 type Injector struct {
@@ -55,28 +55,20 @@ type Injector struct {
 }
 
 // NewInjector builds a fault injector over the path. rng should be a fork
-// of the trial's seed stream dedicated to fault timing.
-func NewInjector(sched *simtime.Scheduler, rng *simtime.Rand, path *Path) *Injector {
+// of the trial's seed stream dedicated to fault timing. ins.Trace receives
+// one event per fault transition (LayerNetsim, kind "fault") and
+// ins.Metrics a per-kind transition counter.
+func NewInjector(sched *simtime.Scheduler, rng *simtime.Rand, path *Path, ins instr.Bundle) *Injector {
 	if sched == nil || rng == nil || path == nil {
 		panic("netsim: NewInjector requires a scheduler, rng and path")
 	}
-	return &Injector{sched: sched, rng: rng, path: path}
+	return &Injector{sched: sched, rng: rng, path: path, tr: ins.Trace,
+		mTransitions: ins.Metrics.CounterVec("h2privacy_fault_transitions_total",
+			"Fault-injection transitions applied to the path, by fault kind.", "kind")}
 }
 
 // SetWiper installs the knob-state target of ScheduleMboxRestart.
 func (in *Injector) SetWiper(w KnobWiper) { in.wiper = w }
-
-// SetTracer arms per-transition trace events (LayerNetsim, kind "fault").
-func (in *Injector) SetTracer(tr *trace.Tracer) { in.tr = tr }
-
-// SetMetrics arms a per-kind fault-transition counter in the registry.
-func (in *Injector) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	in.mTransitions = reg.CounterVec("h2privacy_fault_transitions_total",
-		"Fault-injection transitions applied to the path, by fault kind.", "kind")
-}
 
 // Log returns the fault transitions applied so far, in virtual-time order.
 func (in *Injector) Log() []FaultTransition { return in.log }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"h2privacy/internal/instr"
 	"h2privacy/internal/simtime"
 )
 
@@ -19,13 +20,13 @@ func faultTestPath(t *testing.T, cfg LinkConfig) (*simtime.Scheduler, *Path, *In
 	if cfg.BandwidthBps == 0 {
 		cfg.BandwidthBps = 1e9
 	}
-	path, err := NewPath(sched, rng.Fork(), PathConfig{Link: cfg})
+	path, err := NewPath(sched, rng.Fork(), PathConfig{Link: cfg}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var delivered int
 	path.Connect(func(*Packet) { delivered++ }, func(*Packet) { delivered++ })
-	in := NewInjector(sched, rng.Fork(), path)
+	in := NewInjector(sched, rng.Fork(), path, instr.Bundle{})
 	return sched, path, in, &delivered
 }
 
@@ -59,12 +60,12 @@ func TestBlackoutDropsAsFault(t *testing.T) {
 func TestBurstLossDeterministicPerSeed(t *testing.T) {
 	run := func(seed int64) []FaultTransition {
 		sched := simtime.NewScheduler()
-		path, err := NewPath(sched, simtime.NewRand(1), PathConfig{Link: LinkConfig{BandwidthBps: 1e9}})
+		path, err := NewPath(sched, simtime.NewRand(1), PathConfig{Link: LinkConfig{BandwidthBps: 1e9}}, instr.Bundle{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		path.Connect(func(*Packet) {}, func(*Packet) {})
-		in := NewInjector(sched, simtime.NewRand(seed), path)
+		in := NewInjector(sched, simtime.NewRand(seed), path, instr.Bundle{})
 		in.ScheduleBurstLoss(0, 10*time.Second, 0.5, 200*time.Millisecond, 800*time.Millisecond)
 		sched.Run()
 		return in.Log()
@@ -191,7 +192,7 @@ func TestFaultArgumentPanics(t *testing.T) {
 		"bw-flap until<=start":    func() { in.ScheduleBandwidthFlap(time.Second, time.Second, 1, 1) },
 		"bw-flap lowBps<=0":       func() { in.ScheduleBandwidthFlap(0, time.Second, 1, 0) },
 		"blackout dur<=0":         func() { in.ScheduleBlackout(0, 0) },
-		"injector nil path":       func() { NewInjector(simtime.NewScheduler(), simtime.NewRand(1), nil) },
+		"injector nil path":       func() { NewInjector(simtime.NewScheduler(), simtime.NewRand(1), nil, instr.Bundle{}) },
 	}
 	for name, fn := range cases {
 		func() {

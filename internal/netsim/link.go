@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"h2privacy/internal/check"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/pool"
 	"h2privacy/internal/simtime"
 	"h2privacy/internal/trace"
@@ -137,15 +138,28 @@ type Link struct {
 }
 
 // NewLink builds a link for one direction. deliver may be set later with
-// SetDeliver but must be non-nil before the first Send.
-func NewLink(sched *simtime.Scheduler, rng *simtime.Rand, dir Direction, cfg LinkConfig, nextID *uint64) (*Link, error) {
+// SetDeliver but must be non-nil before the first Send. ins.Trace arms
+// per-packet tracing and ins.Check packet-conservation checks.
+func NewLink(sched *simtime.Scheduler, rng *simtime.Rand, dir Direction, cfg LinkConfig, nextID *uint64, ins instr.Bundle) (*Link, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if nextID == nil {
 		nextID = new(uint64)
 	}
-	l := &Link{sched: sched, rng: rng, dir: dir, cfg: cfg, nextID: nextID}
+	l := &Link{sched: sched, rng: rng, dir: dir, cfg: cfg, nextID: nextID, tr: ins.Trace, ck: ins.Check, ckDir: check.DirC2S}
+	if dir == ServerToClient {
+		l.ckDir = check.DirS2C
+	}
+	if l.tr.Enabled() {
+		// Counters are registered here, once, so the Send path only
+		// touches pre-resolved instruments.
+		prefix := dir.String() + "."
+		l.ctEnqueue = l.tr.Counter(trace.LayerNetsim, prefix+"enqueue")
+		l.ctDequeue = l.tr.Counter(trace.LayerNetsim, prefix+"dequeue")
+		l.ctDrop = l.tr.Counter(trace.LayerNetsim, prefix+"drop")
+		l.ctReorder = l.tr.Counter(trace.LayerNetsim, prefix+"reorder")
+	}
 	l.txLane.Init(sched, l.onTxDone)
 	l.dlvLane.Init(sched, l.onDeliver)
 	return l, nil
@@ -175,27 +189,6 @@ func (l *Link) AddProcessor(p Processor) { l.procs = append(l.procs, p) }
 
 // AddTap appends a passive observer.
 func (l *Link) AddTap(t Tap) { l.taps = append(l.taps, t) }
-
-// SetTracer arms per-packet tracing on the link. Counters are registered
-// here, once, so the Send path only touches pre-resolved instruments.
-func (l *Link) SetTracer(tr *trace.Tracer) {
-	l.tr = tr
-	prefix := l.dir.String() + "."
-	l.ctEnqueue = tr.Counter(trace.LayerNetsim, prefix+"enqueue")
-	l.ctDequeue = tr.Counter(trace.LayerNetsim, prefix+"dequeue")
-	l.ctDrop = tr.Counter(trace.LayerNetsim, prefix+"drop")
-	l.ctReorder = tr.Counter(trace.LayerNetsim, prefix+"reorder")
-}
-
-// SetChecker arms packet-conservation invariant checks on the link. The
-// direction index is resolved once so the Send path stays allocation-free.
-func (l *Link) SetChecker(ck *check.Checker) {
-	l.ck = ck
-	l.ckDir = check.DirC2S
-	if l.dir == ServerToClient {
-		l.ckDir = check.DirS2C
-	}
-}
 
 // Stats returns a copy of the link counters.
 func (l *Link) Stats() LinkStats { return l.stats }

@@ -5,13 +5,14 @@ import (
 	"testing/quick"
 	"time"
 
+	"h2privacy/internal/instr"
 	"h2privacy/internal/simtime"
 )
 
 func newTestLink(t *testing.T, cfg LinkConfig) (*simtime.Scheduler, *Link, *[]*Packet) {
 	t.Helper()
 	sched := simtime.NewScheduler()
-	l, err := NewLink(sched, simtime.NewRand(1), ClientToServer, cfg, nil)
+	l, err := NewLink(sched, simtime.NewRand(1), ClientToServer, cfg, nil, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestLinkSerializationFIFO(t *testing.T) {
 	l, err := NewLink(sched, simtime.NewRand(1), ClientToServer, LinkConfig{
 		BandwidthBps: 8e6,
 		PropDelay:    time.Millisecond,
-	}, nil)
+	}, nil, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestLinkBandwidthChangeAffectsNewPackets(t *testing.T) {
 	sched := simtime.NewScheduler()
 	l, err := NewLink(sched, simtime.NewRand(1), ClientToServer, LinkConfig{
 		BandwidthBps: 8e6, PropDelay: 0,
-	}, nil)
+	}, nil, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestLinkSetBandwidthRejectsNonPositive(t *testing.T) {
 	sched := simtime.NewScheduler()
 	l, err := NewLink(sched, simtime.NewRand(1), ClientToServer, LinkConfig{
 		BandwidthBps: 8e6,
-	}, nil)
+	}, nil, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestLinkAdversaryDelayReorders(t *testing.T) {
 	sched := simtime.NewScheduler()
 	l, err := NewLink(sched, simtime.NewRand(1), ClientToServer, LinkConfig{
 		BandwidthBps: 8e9, PropDelay: time.Millisecond,
-	}, nil)
+	}, nil, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestLinkQueueTailDrop(t *testing.T) {
 	l, err := NewLink(sched, simtime.NewRand(1), ClientToServer, LinkConfig{
 		BandwidthBps: 8e3, // slow: 1000B takes 1s
 		QueueLimit:   2500,
-	}, nil)
+	}, nil, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,17 +240,17 @@ func (f tapFunc) Observe(ev PacketEvent) { f(ev) }
 
 func TestLinkConfigValidation(t *testing.T) {
 	sched := simtime.NewScheduler()
-	if _, err := NewLink(sched, simtime.NewRand(1), ClientToServer, LinkConfig{}, nil); err == nil {
+	if _, err := NewLink(sched, simtime.NewRand(1), ClientToServer, LinkConfig{}, nil, instr.Bundle{}); err == nil {
 		t.Fatal("zero bandwidth accepted")
 	}
-	if _, err := NewLink(sched, simtime.NewRand(1), ClientToServer, LinkConfig{BandwidthBps: 1, LossProb: 1.5}, nil); err == nil {
+	if _, err := NewLink(sched, simtime.NewRand(1), ClientToServer, LinkConfig{BandwidthBps: 1, LossProb: 1.5}, nil, instr.Bundle{}); err == nil {
 		t.Fatal("loss prob 1.5 accepted")
 	}
 }
 
 func TestLinkSendPanics(t *testing.T) {
 	sched := simtime.NewScheduler()
-	l, err := NewLink(sched, simtime.NewRand(1), ClientToServer, LinkConfig{BandwidthBps: 1e6}, nil)
+	l, err := NewLink(sched, simtime.NewRand(1), ClientToServer, LinkConfig{BandwidthBps: 1e6}, nil, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestLinkConservationProperty(t *testing.T) {
 			PropDelay:     time.Millisecond,
 			NaturalJitter: 3 * time.Millisecond,
 			QueueLimit:    1 << 30,
-		}, nil)
+		}, nil, instr.Bundle{})
 		if err != nil {
 			return false
 		}
@@ -310,7 +311,7 @@ func TestLinkDuplication(t *testing.T) {
 	l, err := NewLink(sched, simtime.NewRand(5), ClientToServer, LinkConfig{
 		BandwidthBps:  1e9,
 		DuplicateProb: 0.5,
-	}, nil)
+	}, nil, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,7 @@ func TestLinkDuplication(t *testing.T) {
 	if n != sent+st.Duplicated {
 		t.Fatalf("delivered %d, want %d", n, sent+st.Duplicated)
 	}
-	if _, err := NewLink(sched, simtime.NewRand(1), ClientToServer, LinkConfig{BandwidthBps: 1, DuplicateProb: 1.5}, nil); err == nil {
+	if _, err := NewLink(sched, simtime.NewRand(1), ClientToServer, LinkConfig{BandwidthBps: 1, DuplicateProb: 1.5}, nil, instr.Bundle{}); err == nil {
 		t.Fatal("bad duplicate prob accepted")
 	}
 }
@@ -346,7 +347,7 @@ func TestLinkDuplicateStatsAndReorderGate(t *testing.T) {
 		NaturalJitter: 50 * time.Millisecond,
 		ReorderProb:   1e-12,   // gate essentially never opens
 		DuplicateProb: 0.99999, // effectively every packet duplicated
-	}, nil)
+	}, nil, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +384,7 @@ func TestLinkDuplicateStatsAndReorderGate(t *testing.T) {
 // packet, so one release — and the struct is reused by a later Send.
 func TestRecycleReusesPacketsAndReleasesPayloads(t *testing.T) {
 	sched := simtime.NewScheduler()
-	l, err := NewLink(sched, simtime.NewRand(7), ClientToServer, LinkConfig{BandwidthBps: 1e9}, nil)
+	l, err := NewLink(sched, simtime.NewRand(7), ClientToServer, LinkConfig{BandwidthBps: 1e9}, nil, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +418,7 @@ func TestRecycleReusesPacketsAndReleasesPayloads(t *testing.T) {
 func TestRecycleDuplicateSingleRelease(t *testing.T) {
 	sched := simtime.NewScheduler()
 	l, err := NewLink(sched, simtime.NewRand(7), ClientToServer,
-		LinkConfig{BandwidthBps: 1e9, DuplicateProb: 0.999999}, nil)
+		LinkConfig{BandwidthBps: 1e9, DuplicateProb: 0.999999}, nil, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +444,7 @@ func TestRecycleIdenticalOutcome(t *testing.T) {
 		l, err := NewLink(sched, simtime.NewRand(99), ClientToServer, LinkConfig{
 			BandwidthBps: 1e6, NaturalJitter: 3 * time.Millisecond,
 			LossProb: 0.2, DuplicateProb: 0.1, QueueLimit: 4000,
-		}, nil)
+		}, nil, instr.Bundle{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,12 +484,12 @@ func TestRecyclingSendDeliverZeroAllocs(t *testing.T) {
 		p, err := NewPath(sched, simtime.NewRand(5), PathConfig{Link: LinkConfig{
 			BandwidthBps: 1e8, PropDelay: time.Millisecond,
 			NaturalJitter: 2 * time.Millisecond, ReorderProb: 0.3, DuplicateProb: 0.1,
-		}})
+		}}, instr.Bundle{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if shared {
-			b, err := NewBottleneck(sched, BottleneckConfig{BandwidthBps: 1e8})
+			b, err := NewBottleneck(sched, BottleneckConfig{BandwidthBps: 1e8}, instr.Bundle{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"h2privacy/internal/check"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/simtime"
-	"h2privacy/internal/trace"
 )
 
 // PathConfig describes the full client↔server path. The same physical
@@ -17,11 +16,6 @@ type PathConfig struct {
 	// Asymmetric, when non-nil, configures the server→client link
 	// separately (e.g. an asymmetric access link).
 	Asymmetric *LinkConfig
-	// Tracer, when non-nil, arms per-packet tracing on both links.
-	Tracer *trace.Tracer
-	// Check, when non-nil, arms packet-conservation invariant checks on
-	// both links (see internal/check).
-	Check *check.Checker
 }
 
 // Path is the bidirectional client↔server connection through the
@@ -35,8 +29,8 @@ type Path struct {
 
 // NewPath builds a path over the given scheduler. Each link gets its own
 // forked RNG so loss/jitter draws in one direction do not perturb the
-// other.
-func NewPath(sched *simtime.Scheduler, rng *simtime.Rand, cfg PathConfig) (*Path, error) {
+// other; both links are instrumented from ins.
+func NewPath(sched *simtime.Scheduler, rng *simtime.Rand, cfg PathConfig, ins instr.Bundle) (*Path, error) {
 	if sched == nil || rng == nil {
 		return nil, fmt.Errorf("netsim: NewPath requires a scheduler and rng")
 	}
@@ -45,21 +39,13 @@ func NewPath(sched *simtime.Scheduler, rng *simtime.Rand, cfg PathConfig) (*Path
 		retCfg = *cfg.Asymmetric
 	}
 	nextID := new(uint64)
-	c2s, err := NewLink(sched, rng.Fork(), ClientToServer, cfg.Link, nextID)
+	c2s, err := NewLink(sched, rng.Fork(), ClientToServer, cfg.Link, nextID, ins)
 	if err != nil {
 		return nil, fmt.Errorf("netsim: client→server link: %w", err)
 	}
-	s2c, err := NewLink(sched, rng.Fork(), ServerToClient, retCfg, nextID)
+	s2c, err := NewLink(sched, rng.Fork(), ServerToClient, retCfg, nextID, ins)
 	if err != nil {
 		return nil, fmt.Errorf("netsim: server→client link: %w", err)
-	}
-	if cfg.Tracer.Enabled() {
-		c2s.SetTracer(cfg.Tracer)
-		s2c.SetTracer(cfg.Tracer)
-	}
-	if cfg.Check.Enabled() {
-		c2s.SetChecker(cfg.Check)
-		s2c.SetChecker(cfg.Check)
 	}
 	return &Path{c2s: c2s, s2c: s2c}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"h2privacy/internal/instr"
 	"h2privacy/internal/simtime"
 )
 
@@ -12,7 +13,7 @@ func newTestPath(t *testing.T) (*simtime.Scheduler, *Path, *[]*Packet, *[]*Packe
 	sched := simtime.NewScheduler()
 	p, err := NewPath(sched, simtime.NewRand(1), PathConfig{
 		Link: LinkConfig{BandwidthBps: 1e9, PropDelay: time.Millisecond},
-	})
+	}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestPathAsymmetric(t *testing.T) {
 	p, err := NewPath(sched, simtime.NewRand(1), PathConfig{
 		Link:       LinkConfig{BandwidthBps: 1e9},
 		Asymmetric: &LinkConfig{BandwidthBps: 5e5},
-	})
+	}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +94,11 @@ func TestPathAsymmetric(t *testing.T) {
 }
 
 func TestPathValidation(t *testing.T) {
-	if _, err := NewPath(nil, nil, PathConfig{Link: LinkConfig{BandwidthBps: 1}}); err == nil {
+	if _, err := NewPath(nil, nil, PathConfig{Link: LinkConfig{BandwidthBps: 1}}, instr.Bundle{}); err == nil {
 		t.Fatal("nil scheduler accepted")
 	}
 	sched := simtime.NewScheduler()
-	if _, err := NewPath(sched, simtime.NewRand(1), PathConfig{}); err == nil {
+	if _, err := NewPath(sched, simtime.NewRand(1), PathConfig{}, instr.Bundle{}); err == nil {
 		t.Fatal("zero link config accepted")
 	}
 }
@@ -125,7 +126,7 @@ func TestCrossTrafficConsumesBandwidth(t *testing.T) {
 	rng := simtime.NewRand(1)
 	p, err := NewPath(sched, rng.Fork(), PathConfig{
 		Link: LinkConfig{BandwidthBps: 10e6, PropDelay: time.Millisecond},
-	})
+	}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestCrossTrafficConsumesBandwidth(t *testing.T) {
 func TestCrossTrafficZeroRateIsNoop(t *testing.T) {
 	sched := simtime.NewScheduler()
 	rng := simtime.NewRand(1)
-	p, err := NewPath(sched, rng, PathConfig{Link: LinkConfig{BandwidthBps: 1e9}})
+	p, err := NewPath(sched, rng, PathConfig{Link: LinkConfig{BandwidthBps: 1e9}}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}

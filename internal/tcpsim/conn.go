@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"h2privacy/internal/check"
+	"h2privacy/internal/instr"
 	"h2privacy/internal/pool"
 	"h2privacy/internal/simtime"
 	"h2privacy/internal/trace"
@@ -90,8 +91,12 @@ type Conn struct {
 
 // NewConn builds an endpoint. name tags errors and traces ("client",
 // "server"). iss is the initial send sequence number. out transmits a
-// segment onto the network and must be non-nil.
-func NewConn(sched *simtime.Scheduler, cfg Config, name string, iss uint64, out func(*Segment)) (*Conn, error) {
+// segment onto the network and must be non-nil. ins.Trace arms transport
+// tracing (RTO fires, fast retransmits, tail-loss probes, SRTT samples)
+// and ins.Check the sequence-space invariant checkers: conservation of
+// delivered bytes, ACK bounds, and sndNxt/rcvNxt monotonicity outside RTO
+// rewinds.
+func NewConn(sched *simtime.Scheduler, cfg Config, ins instr.Bundle, name string, iss uint64, out func(*Segment)) (*Conn, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -111,6 +116,8 @@ func NewConn(sched *simtime.Scheduler, cfg Config, name string, iss uint64, out 
 		peerWnd:  cfg.RecvWindow,
 		rto:      time.Second, // conservative pre-handshake RTO (RFC 6298 §2)
 		arena:    cfg.Pool,
+		tr:       ins.Trace,
+		ck:       ins.Check,
 	}
 	// The timers are bound once and re-armed in place: RTO and PTO
 	// re-arm on every ACK, so re-arming must neither build a closure nor
@@ -119,17 +126,13 @@ func NewConn(sched *simtime.Scheduler, cfg Config, name string, iss uint64, out 
 	c.ptoTimer.Init(sched, c.onPTO)
 	c.rackTimer.Init(sched, c.onRack)
 	c.delAckTimer.Init(sched, c.onDelAck)
-	if cfg.Tracer.Enabled() {
-		c.tr = cfg.Tracer
+	if c.tr.Enabled() {
 		c.ctRTO = c.tr.Counter(trace.LayerTCP, name+".rto")
 		c.ctFastRtx = c.tr.Counter(trace.LayerTCP, name+".fast-retransmit")
 		c.ctTLP = c.tr.Counter(trace.LayerTCP, name+".tlp")
 		c.hSRTT = c.tr.Histo(trace.LayerTCP, name+".srtt_ms")
 	}
-	if cfg.Check.Enabled() {
-		c.ck = cfg.Check
-		c.ck.TCPRegister(name, iss)
-	}
+	c.ck.TCPRegister(name, iss)
 	return c, nil
 }
 

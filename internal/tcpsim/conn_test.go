@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"h2privacy/internal/instr"
 	"h2privacy/internal/netsim"
 	"h2privacy/internal/pool"
 	"h2privacy/internal/simtime"
@@ -26,11 +27,11 @@ func newTestNet(t *testing.T, link netsim.LinkConfig, cfg Config) *testNet {
 	n := &testNet{sched: simtime.NewScheduler()}
 	rng := simtime.NewRand(42)
 	var err error
-	n.path, err = netsim.NewPath(n.sched, rng, netsim.PathConfig{Link: link})
+	n.path, err = netsim.NewPath(n.sched, rng, netsim.PathConfig{Link: link}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.pair, err = NewPair(n.sched, rng, n.path, cfg)
+	n.pair, err = NewPair(n.sched, rng, n.path, cfg, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestFastRetransmitOnReorder(t *testing.T) {
 	// successors: receiver dup-ACKs, sender fast-retransmits.
 	sched := simtime.NewScheduler()
 	rng := simtime.NewRand(7)
-	path, err := netsim.NewPath(sched, rng, netsim.PathConfig{Link: fastLink()})
+	path, err := netsim.NewPath(sched, rng, netsim.PathConfig{Link: fastLink()}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestFastRetransmitOnReorder(t *testing.T) {
 		}
 		return netsim.Verdict{}
 	}))
-	pair, err := NewPair(sched, rng, path, Config{})
+	pair, err := NewPair(sched, rng, path, Config{}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestRTORecoveryOnBurstLoss(t *testing.T) {
 	// fast retransmit).
 	sched := simtime.NewScheduler()
 	rng := simtime.NewRand(3)
-	path, err := netsim.NewPath(sched, rng, netsim.PathConfig{Link: fastLink()})
+	path, err := netsim.NewPath(sched, rng, netsim.PathConfig{Link: fastLink()}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestRTORecoveryOnBurstLoss(t *testing.T) {
 		seg := pkt.Payload.(*Segment)
 		return netsim.Verdict{Drop: len(seg.Payload) > 0 && now > 15*time.Millisecond && now < dropUntil}
 	}))
-	pair, err := NewPair(sched, rng, path, Config{})
+	pair, err := NewPair(sched, rng, path, Config{}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,14 +230,14 @@ func TestBrokenAfterMaxRetries(t *testing.T) {
 	// Kill the server→client direction entirely mid-transfer.
 	sched := simtime.NewScheduler()
 	rng := simtime.NewRand(3)
-	path, err := netsim.NewPath(sched, rng, netsim.PathConfig{Link: fastLink()})
+	path, err := netsim.NewPath(sched, rng, netsim.PathConfig{Link: fastLink()}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	path.Link(netsim.ServerToClient).AddProcessor(netsim.ProcessorFunc(func(now time.Duration, pkt *netsim.Packet) netsim.Verdict {
 		return netsim.Verdict{Drop: now > 15*time.Millisecond}
 	}))
-	pair, err := NewPair(sched, rng, path, Config{MaxRetries: 3})
+	pair, err := NewPair(sched, rng, path, Config{MaxRetries: 3}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestBrokenAfterMaxRetries(t *testing.T) {
 func TestRTOBackoffDoubles(t *testing.T) {
 	sched := simtime.NewScheduler()
 	rng := simtime.NewRand(3)
-	path, err := netsim.NewPath(sched, rng, netsim.PathConfig{Link: fastLink()})
+	path, err := netsim.NewPath(sched, rng, netsim.PathConfig{Link: fastLink()}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestRTOBackoffDoubles(t *testing.T) {
 		seg := pkt.Payload.(*Segment)
 		return netsim.Verdict{Drop: len(seg.Payload) > 0}
 	}))
-	pair, err := NewPair(sched, rng, path, Config{MaxRetries: 4, MinRTO: 200 * time.Millisecond})
+	pair, err := NewPair(sched, rng, path, Config{MaxRetries: 4, MinRTO: 200 * time.Millisecond}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestWriteAfterCloseSendFails(t *testing.T) {
 func TestSynRetransmission(t *testing.T) {
 	sched := simtime.NewScheduler()
 	rng := simtime.NewRand(3)
-	path, err := netsim.NewPath(sched, rng, netsim.PathConfig{Link: fastLink()})
+	path, err := netsim.NewPath(sched, rng, netsim.PathConfig{Link: fastLink()}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func TestSynRetransmission(t *testing.T) {
 		}
 		return netsim.Verdict{}
 	}))
-	pair, err := NewPair(sched, rng, path, Config{})
+	pair, err := NewPair(sched, rng, path, Config{}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,16 +376,16 @@ func TestRTTEstimate(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	sched := simtime.NewScheduler()
-	if _, err := NewConn(sched, Config{MSS: 10}, "x", 0, func(*Segment) {}); err == nil {
+	if _, err := NewConn(sched, Config{MSS: 10}, instr.Bundle{}, "x", 0, func(*Segment) {}); err == nil {
 		t.Fatal("tiny MSS accepted")
 	}
-	if _, err := NewConn(sched, Config{MinRTO: time.Second, MaxRTO: time.Millisecond}, "x", 0, func(*Segment) {}); err == nil {
+	if _, err := NewConn(sched, Config{MinRTO: time.Second, MaxRTO: time.Millisecond}, instr.Bundle{}, "x", 0, func(*Segment) {}); err == nil {
 		t.Fatal("inverted RTO bounds accepted")
 	}
-	if _, err := NewConn(nil, Config{}, "x", 0, func(*Segment) {}); err == nil {
+	if _, err := NewConn(nil, Config{}, instr.Bundle{}, "x", 0, func(*Segment) {}); err == nil {
 		t.Fatal("nil scheduler accepted")
 	}
-	if _, err := NewConn(sched, Config{}, "x", 0, nil); err == nil {
+	if _, err := NewConn(sched, Config{}, instr.Bundle{}, "x", 0, nil); err == nil {
 		t.Fatal("nil transmit accepted")
 	}
 }
@@ -433,7 +434,7 @@ func establishedWriter(t *testing.T, cfg Config, gap time.Duration) (c *Conn, ch
 	arena := pool.New()
 	segs := &segPool{arena: arena}
 	cfg.Pool = arena
-	c, err := NewConn(sched, cfg, "server", 1000, func(seg *Segment) { segs.release(seg) })
+	c, err := NewConn(sched, cfg, instr.Bundle{}, "server", 1000, func(seg *Segment) { segs.release(seg) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package tcpsim
 import (
 	"fmt"
 
+	"h2privacy/internal/instr"
 	"h2privacy/internal/netsim"
 	"h2privacy/internal/simtime"
 )
@@ -14,22 +15,23 @@ type Pair struct {
 	Server *Conn
 }
 
-// NewPair creates both endpoints over the path, installs the path delivery
-// handlers, and returns them. The caller still invokes Server.Listen and
-// Client.Connect (in that order) to open the connection.
-func NewPair(sched *simtime.Scheduler, rng *simtime.Rand, path *netsim.Path, cfg Config) (*Pair, error) {
+// NewPair creates both endpoints over the path, instrumented from ins,
+// installs the path delivery handlers, and returns them. The caller still
+// invokes Server.Listen and Client.Connect (in that order) to open the
+// connection.
+func NewPair(sched *simtime.Scheduler, rng *simtime.Rand, path *netsim.Path, cfg Config, ins instr.Bundle) (*Pair, error) {
 	if path == nil {
 		return nil, fmt.Errorf("tcpsim: NewPair requires a path")
 	}
 	clientISS := uint64(rng.Intn(1 << 28))
 	serverISS := uint64(rng.Intn(1 << 28))
-	client, err := NewConn(sched, cfg, "client", clientISS, func(seg *Segment) {
+	client, err := NewConn(sched, cfg, ins, "client", clientISS, func(seg *Segment) {
 		path.Send(netsim.ClientToServer, seg.WireSize(), seg)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("tcpsim: client endpoint: %w", err)
 	}
-	server, err := NewConn(sched, cfg, "server", serverISS, func(seg *Segment) {
+	server, err := NewConn(sched, cfg, ins, "server", serverISS, func(seg *Segment) {
 		path.Send(netsim.ServerToClient, seg.WireSize(), seg)
 	})
 	if err != nil {
@@ -52,7 +54,7 @@ func NewPair(sched *simtime.Scheduler, rng *simtime.Rand, path *netsim.Path, cfg
 	}
 	// Cross-link the endpoints so the checker can verify that every byte a
 	// side delivers was actually sent by its peer.
-	cfg.Check.TCPPeers("client", "server")
+	ins.Check.TCPPeers("client", "server")
 	return &Pair{Client: client, Server: server}, nil
 }
 

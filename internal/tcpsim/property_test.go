@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"h2privacy/internal/instr"
 	"h2privacy/internal/netsim"
 	"h2privacy/internal/simtime"
 )
@@ -24,11 +25,11 @@ func TestDeliveryPropertyUnderLossAndReorder(t *testing.T) {
 			PropDelay:     2 * time.Millisecond,
 			NaturalJitter: 4 * time.Millisecond, // enough to reorder
 			LossProb:      loss,
-		}})
+		}}, instr.Bundle{})
 		if err != nil {
 			return false
 		}
-		pair, err := NewPair(sched, rng, path, Config{MaxRetries: 12})
+		pair, err := NewPair(sched, rng, path, Config{MaxRetries: 12}, instr.Bundle{})
 		if err != nil {
 			return false
 		}
@@ -65,11 +66,11 @@ func TestStatsInvariantProperty(t *testing.T) {
 			PropDelay:     time.Millisecond,
 			NaturalJitter: 2 * time.Millisecond,
 			LossProb:      0.03,
-		}})
+		}}, instr.Bundle{})
 		if err != nil {
 			return false
 		}
-		pair, err := NewPair(sched, rng, path, Config{})
+		pair, err := NewPair(sched, rng, path, Config{}, instr.Bundle{})
 		if err != nil {
 			return false
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"h2privacy/internal/instr"
 	"h2privacy/internal/netsim"
 	"h2privacy/internal/simtime"
 )
@@ -17,7 +18,7 @@ func TestRACKWindowSuppressesSpuriousRetransmit(t *testing.T) {
 	path, err := netsim.NewPath(sched, rng, netsim.PathConfig{Link: netsim.LinkConfig{
 		BandwidthBps: 1e9,
 		PropDelay:    10 * time.Millisecond, // srtt ≈ 20ms, window ≈ 5ms
-	}})
+	}}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestRACKWindowSuppressesSpuriousRetransmit(t *testing.T) {
 		}
 		return netsim.Verdict{}
 	}))
-	pair, err := NewPair(sched, rng, path, Config{})
+	pair, err := NewPair(sched, rng, path, Config{}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestRACKWindowStillCatchesRealLoss(t *testing.T) {
 	path, err := netsim.NewPath(sched, rng, netsim.PathConfig{Link: netsim.LinkConfig{
 		BandwidthBps: 1e9,
 		PropDelay:    10 * time.Millisecond,
-	}})
+	}}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestRACKWindowStillCatchesRealLoss(t *testing.T) {
 		}
 		return netsim.Verdict{}
 	}))
-	pair, err := NewPair(sched, rng, path, Config{})
+	pair, err := NewPair(sched, rng, path, Config{}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestTLPRecoversTailLoss(t *testing.T) {
 	path, err := netsim.NewPath(sched, rng, netsim.PathConfig{Link: netsim.LinkConfig{
 		BandwidthBps: 1e9,
 		PropDelay:    5 * time.Millisecond,
-	}})
+	}}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestTLPRecoversTailLoss(t *testing.T) {
 		}
 		return netsim.Verdict{}
 	}))
-	pair, err := NewPair(sched, rng, path, Config{MinRTO: 800 * time.Millisecond})
+	pair, err := NewPair(sched, rng, path, Config{MinRTO: 800 * time.Millisecond}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestRTOBackoffCollapsesOnProgress(t *testing.T) {
 	path, err := netsim.NewPath(sched, rng, netsim.PathConfig{Link: netsim.LinkConfig{
 		BandwidthBps: 1e9,
 		PropDelay:    5 * time.Millisecond,
-	}})
+	}}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestRTOBackoffCollapsesOnProgress(t *testing.T) {
 		drop := len(seg.Payload) > 0 && now > 50*time.Millisecond && now < 1500*time.Millisecond
 		return netsim.Verdict{Drop: drop}
 	}))
-	pair, err := NewPair(sched, rng, path, Config{})
+	pair, err := NewPair(sched, rng, path, Config{}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestDisableRACKWindow(t *testing.T) {
 	path, err := netsim.NewPath(sched, rng, netsim.PathConfig{Link: netsim.LinkConfig{
 		BandwidthBps: 1e9,
 		PropDelay:    10 * time.Millisecond,
-	}})
+	}}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestDisableRACKWindow(t *testing.T) {
 		}
 		return netsim.Verdict{}
 	}))
-	pair, err := NewPair(sched, rng, path, Config{DisableRACKWindow: true})
+	pair, err := NewPair(sched, rng, path, Config{DisableRACKWindow: true}, instr.Bundle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +232,8 @@ func TestDelayedAckReducesAckTraffic(t *testing.T) {
 		rng := simtime.NewRand(21)
 		path, _ := netsim.NewPath(sched, rng, netsim.PathConfig{Link: netsim.LinkConfig{
 			BandwidthBps: 1e9, PropDelay: 5 * time.Millisecond,
-		}})
-		pair, _ := NewPair(sched, rng, path, Config{DelayedAck: delayed})
+		}}, instr.Bundle{})
+		pair, _ := NewPair(sched, rng, path, Config{DelayedAck: delayed}, instr.Bundle{})
 		var got bytes.Buffer
 		pair.Client.OnData(func(p []byte) { got.Write(p) })
 		pair.Open()

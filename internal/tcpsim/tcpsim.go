@@ -15,9 +15,7 @@ import (
 	"fmt"
 	"time"
 
-	"h2privacy/internal/check"
 	"h2privacy/internal/pool"
-	"h2privacy/internal/trace"
 )
 
 // HeaderOverhead is the per-segment IP+TCP header cost in bytes, used to
@@ -173,13 +171,6 @@ type Config struct {
 	// changes where bytes live, never what they contain; byte-identity
 	// with the unpooled path is pinned by tests.
 	Pool *pool.Arena
-	// Tracer, when non-nil, arms per-connection transport tracing (cwnd
-	// changes, RTO fires, recovery entry/exit, SRTT samples).
-	Tracer *trace.Tracer
-	// Check, when non-nil, arms the sequence-space invariant checkers
-	// (see internal/check): conservation of delivered bytes, ACK bounds,
-	// and sndNxt/rcvNxt monotonicity outside RTO rewinds.
-	Check *check.Checker
 }
 
 func (c Config) withDefaults() Config {
