@@ -32,9 +32,7 @@ import (
 	"h2privacy/internal/instr"
 	"h2privacy/internal/metrics"
 	"h2privacy/internal/netsim"
-	"h2privacy/internal/obs"
 	"h2privacy/internal/perf"
-	"h2privacy/internal/trace"
 	"h2privacy/internal/website"
 )
 
@@ -42,7 +40,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "trial seed (drives the volunteer's ranking too)")
 	trials := flag.Int("trials", 1, "number of trials; >1 sweeps seeds N..N+trials-1 and prints an aggregate summary")
 	parallel := flag.Int("parallel", 0, "worker pool for -trials >1 (0 = GOMAXPROCS, 1 = sequential)")
-	noPool := flag.Bool("no-pool", false, "disable per-worker trial buffer recycling in sweep mode (diagnostic; output is byte-identical either way)")
 	jitter1 := flag.Duration("jitter1", 50*time.Millisecond, "phase-1 per-GET jitter")
 	jitter3 := flag.Duration("jitter3", 80*time.Millisecond, "phase-3 per-GET jitter")
 	drop := flag.Float64("drop", 0.8, "server→client drop rate during the reset phase")
@@ -55,18 +52,8 @@ func main() {
 	pcapPath := flag.String("pcap", "", "export the gateway's capture to this pcap file")
 	timeline := flag.Bool("timeline", false, "print the merged event timeline")
 	hold := flag.Duration("hold", 0, "keep the process (and -debug-addr endpoints) alive this long after the trial")
-	var tf cliutil.TraceFlags
-	tf.RegisterTrace(flag.CommandLine, "the trial's cross-layer trace")
-	var df cliutil.DebugFlags
-	df.RegisterDebug(flag.CommandLine)
-	var cf cliutil.CheckFlags
-	cf.RegisterCheck(flag.CommandLine)
-	var pf cliutil.PerfFlags
-	pf.RegisterPerf(flag.CommandLine)
-	var ffl cliutil.FeatureFlags
-	ffl.RegisterFeatures(flag.CommandLine)
-	var sf cliutil.SuperviseFlags
-	sf.RegisterSupervise(flag.CommandLine)
+	h := cliutil.Harness{Tool: "h2attack", TraceWhat: "the trial's cross-layer trace", Receipts: os.Stdout}
+	h.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *listScenarios {
@@ -109,62 +96,21 @@ func main() {
 		fleetCfg = &core.FleetConfig{N: *fleet, Budget: *budgetK}
 	}
 
-	// -check arms per-layer invariant checking; a violation's repro line
-	// names the exact single-trial rerun (the sweep engine keys each trial's
-	// checker by that trial's own seed, so -seed N reproduces it alone).
-	rec := cf.NewRecorder()
-	if rec != nil {
-		rec.SetRepro(func(v check.Violation) string {
-			return fmt.Sprintf("go run ./cmd/h2attack -check -seed %d%s", v.TrialSeed, knobs)
-		})
-	}
-
-	// -timeline and -debug-addr also arm the tracer: the trace-derived
-	// timeline carries the TCP events the legacy logs never had, and the
-	// debug server's /debug/trace endpoint serves the ring live. With a
-	// debug server attached, HTTP scrapes race the simulation goroutine,
-	// so the tracer takes its mutex path.
-	tracer, err := tf.NewTracer(trace.Config{Concurrent: df.Armed()}, *timeline || df.Armed())
-	if err != nil {
+	// -timeline forces the tracer: the trace-derived timeline carries the
+	// TCP events the legacy logs never had.
+	h.ForceTrace = *timeline
+	h.Hold = *hold
+	opts := experiment.Options{Trials: *trials, BaseSeed: *seed, Workers: *parallel}
+	if err := h.Arm(&opts); err != nil {
 		fatal(err)
 	}
-
-	// -debug-addr arms the metrics registry: the trial's counters and
-	// histograms (adversary interventions, phases, retransmits, page-load
-	// time) accumulate there and /metrics serves them, mirrored trace
-	// counters included.
-	var reg *obs.Registry
-	if df.Armed() {
-		reg = obs.NewRegistry()
-		obs.PublishTrace(reg, tracer)
-	}
-	// -features/-features-out arm flowseq event-sequence analytics; with
-	// -debug-addr the collector is forced so /debug/flows serves live burst
-	// tables and the flow_* families land in the registry.
-	fcol := ffl.NewCollector(df.Armed())
-	fcol.PublishTo(reg)
-	ds, err := df.Serve(reg, tracer, fcol, os.Stderr, "h2attack")
-	if err != nil {
-		fatal(err)
-	}
-
-	// Any perf flag arms host-side cost attribution (and CPU/heap capture
-	// when requested); with -debug-addr the stage histograms also land in
-	// the live registry.
-	col := pf.NewCollector()
-	col.BeginExperiment("attack")
-	col.PublishTo(reg)
-	if err := pf.StartProfiles(os.Stderr, "h2attack"); err != nil {
-		fatal(err)
-	}
-	finishPerf := func() {
-		if err := pf.StopProfiles(os.Stderr, "h2attack"); err != nil {
-			fatal(err)
-		}
-		if err := pf.Report(col, os.Stderr, "h2attack"); err != nil {
-			fatal(err)
-		}
-	}
+	opts.Perf.BeginExperiment("attack")
+	// A violation's repro line names the exact single-trial rerun (the
+	// sweep engine keys each trial's checker by that trial's own seed, so
+	// -seed N reproduces it alone).
+	opts.Check.SetRepro(func(v check.Violation) string {
+		return fmt.Sprintf("go run ./cmd/h2attack -check -seed %d%s", v.TrialSeed, knobs)
+	})
 
 	// -trials >1 switches to sweep mode: the same attack plan against
 	// seeds N..N+trials-1 over the experiment worker pool, reporting
@@ -177,86 +123,47 @@ func main() {
 		}
 		// First SIGINT starts the cooperative drain: workers stop claiming
 		// trials, the trial in flight is interrupted at the scheduler's next
-		// poll window, and the completed trials' artifacts export below. A
-		// second SIGINT force-kills through the restored default handler.
+		// poll window, and Finish exports the completed trials' artifacts.
+		// A second SIGINT force-kills through the restored default handler.
 		ctx, stop := cliutil.SignalContext()
 		defer stop()
-		quarantined, interrupted, err := runSweep(ctx, *seed, *trials, *parallel, *noPool, plan, *scenario, fleetCfg, knobs, sf, tracer, reg, rec, col, fcol)
+		opts.Ctx = ctx
+		interrupted, err := runSweep(opts, plan, *scenario, fleetCfg, knobs)
 		if err != nil {
 			fatal(err)
 		}
-		finishPerf()
-		if err := tf.Export(tracer, os.Stdout, "h2attack"); err != nil {
-			fatal(err)
-		}
-		if err := ffl.Export(fcol, os.Stdout, "h2attack"); err != nil {
-			fatal(err)
-		}
-		exitChecks(cf, rec, ds, *hold)
-		if interrupted {
-			fmt.Fprintln(os.Stderr, "h2attack: interrupted — partial artifacts exported")
-			os.Exit(130)
-		}
-		if code := sf.Exit(quarantined); code != 0 {
-			os.Exit(code)
-		}
-		return
+		os.Exit(h.Finish(interrupted, nil))
 	}
 
-	var ck *check.Checker
-	if rec != nil {
-		ck = check.New(*seed, 0, rec)
-	}
-	// Single-trial path: the testbed is assembled by hand (not through
-	// core.RunTrial), so the build stage is bracketed here; Run attributes
-	// the rest through cfg.Perf. With col nil, pw is the no-op handle.
-	var fl *flowseq.Analyzer
-	if fcol != nil {
-		fl = flowseq.New(0, fcol)
-	}
-	// The supervision flags apply to the single-trial path too, so a
+	// Single-trial path. The supervision flags apply here too, so a
 	// quarantined trial's repro command (-trials 1 -seed S -chaos mode:0
 	// -step-budget N) replays the exact failure standalone: the chaos
 	// injection fires, the watchdog kills it, and the panic is loud and
 	// uncaught — this path is for diagnosis, not salvage.
-	chaosFor, err := cliutil.ParseChaosSpec(sf.Chaos)
-	if err != nil {
-		fatal(err)
+	var ck *check.Checker
+	if opts.Check != nil {
+		ck = check.New(*seed, 0, opts.Check)
 	}
-	cfg := core.TrialConfig{Seed: *seed, Attack: &plan, Scenario: *scenario,
-		Bundle:     instr.Bundle{Trace: tracer, Metrics: reg, Check: ck, Flows: fl},
-		StepBudget: sf.StepBudget, WallDeadline: sf.TrialDeadline, Fleet: fleetCfg}
-	if chaosFor != nil {
-		cfg.Chaos = chaosFor(0)
+	var fl *flowseq.Analyzer
+	if opts.Features != nil {
+		fl = flowseq.New(0, opts.Features)
 	}
-	// A fleet trial runs through core.RunTrial (the topology is assembled
-	// there) and reports selection + collateral instead of the single-pair
-	// play-by-play.
-	if fleetCfg != nil {
-		if *pcapPath != "" || *timeline {
-			fmt.Fprintln(os.Stderr, "h2attack: -pcap and -timeline apply to single-pair trials; ignoring with -fleet >1")
-		}
-		fpw := col.Worker()
-		ftok := fpw.BeginTrial()
-		cfg.Perf = fpw
-		res, err := core.RunTrial(cfg)
-		fpw.EndTrial(ftok)
-		fpw.Close()
-		finishPerf()
-		if err != nil {
-			fatal(err)
-		}
-		if err := tf.Export(tracer, os.Stdout, "h2attack"); err != nil {
-			fatal(err)
-		}
-		if err := ffl.Export(fcol, os.Stdout, "h2attack"); err != nil {
-			fatal(err)
-		}
-		printFleet(res)
-		exitChecks(cf, rec, ds, *hold)
-		return
+	cfg := core.TrialConfig{Seed: *seed, Attack: &plan, Scenario: *scenario, Fleet: fleetCfg,
+		Bundle:     instr.Bundle{Trace: opts.Trace, Metrics: opts.Metrics, Check: ck, Flows: fl},
+		StepBudget: opts.StepBudget}
+	if opts.ChaosTrial != nil {
+		cfg.Chaos = opts.ChaosTrial(0)
 	}
-	pw := col.Worker()
+	// A fleet trial reports selection and collateral instead of the
+	// single-pair play-by-play that the pcap and timeline belong to.
+	if fleetCfg != nil && (*pcapPath != "" || *timeline) {
+		fmt.Fprintln(os.Stderr, "h2attack: -pcap and -timeline apply to single-pair trials; ignoring with -fleet >1")
+	}
+	pcap := *pcapPath != "" && fleetCfg == nil
+	// The testbed is assembled here rather than by core.RunTrial because
+	// the report reads it, so the build stage is bracketed by hand; Run
+	// attributes the rest through cfg.Perf.
+	pw := opts.Perf.Worker()
 	tok := pw.BeginTrial()
 	sp := pw.Start(perf.StageBuild)
 	cfg.Perf = pw
@@ -265,33 +172,39 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *pcapPath != "" {
+	if pcap {
 		tb.Monitor.EnablePacketLog()
 	}
 	res := tb.Run()
 	pw.EndTrial(tok)
 	pw.Close()
-	finishPerf()
-	if *pcapPath != "" {
+	if pcap {
 		if err := writePcap(*pcapPath, tb); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %d observed packets to %s\n\n", len(tb.Monitor.Packets()), *pcapPath)
 	}
-	if err := tf.Export(tracer, os.Stdout, "h2attack"); err != nil {
-		fatal(err)
-	}
-	if err := ffl.Export(fcol, os.Stdout, "h2attack"); err != nil {
-		fatal(err)
-	}
+	os.Exit(h.Finish(false, func() error {
+		if res.Fleet != nil {
+			printFleet(res)
+		} else {
+			printTrial(tb, res, *scenario, *timeline)
+		}
+		return nil
+	}))
+}
 
+// printTrial renders a single-pair trial's play-by-play: the attack
+// phases, injected faults, what the gateway saw, the objects of interest,
+// the timeline when asked for, and the verdict.
+func printTrial(tb *core.Testbed, res *core.TrialResult, scenario string, timeline bool) {
 	fmt.Println("== attack phases ==")
 	for _, pc := range tb.Driver.PhaseLog {
 		fmt.Printf("  %-12v %v\n", pc.Time.Round(time.Millisecond), pc.Phase)
 	}
 
 	if len(res.FaultLog) > 0 {
-		fmt.Printf("\n== injected faults (%s) ==\n", *scenario)
+		fmt.Printf("\n== injected faults (%s) ==\n", scenario)
 		for _, ft := range res.FaultLog {
 			fmt.Printf("  %-12v %-13s %s\n", ft.At.Round(time.Millisecond), ft.Kind, ft.Detail)
 		}
@@ -314,7 +227,7 @@ func main() {
 			res.BestDoM[obj]*100, res.Identified[obj], res.SequenceRankCorrect(k))
 	}
 
-	if *timeline {
+	if timeline {
 		fmt.Println("\n== timeline ==")
 		core.RenderTimeline(os.Stdout, tb.Timeline(res))
 	}
@@ -327,50 +240,20 @@ func main() {
 	if res.Broken {
 		fmt.Printf("  page load broke: %s\n", res.BrokenReason)
 	}
-
-	exitChecks(cf, rec, ds, *hold)
 }
 
-// exitChecks prints the invariant-check report (when -check was armed),
-// releases the debug server, and exits nonzero on any violation.
-func exitChecks(cf cliutil.CheckFlags, rec *check.Recorder, ds *obs.DebugServer, hold time.Duration) {
-	n, err := cf.Report(rec, os.Stderr, "h2attack")
-	holdAndClose(ds, hold)
-	if err != nil {
-		fatal(err)
-	}
-	if n > 0 {
-		os.Exit(1)
-	}
-}
-
-// runSweep is the -trials >1 path: n same-plan trials over the sweep
-// engine under trial supervision, aggregated exactly as table2 aggregates
-// (HTML identified, ranks correct, broken loads). Returns the quarantined
-// trial count and whether the sweep was interrupted (partial results).
-func runSweep(ctx context.Context, seed int64, n, workers int, noPool bool, plan adversary.AttackPlan, scenario string, fleetCfg *core.FleetConfig, knobs string, sf cliutil.SuperviseFlags, tracer *trace.Tracer, reg *obs.Registry, rec *check.Recorder, col *perf.Collector, fcol *flowseq.Collector) (quarantined int, interrupted bool, err error) {
-	opts := experiment.Options{
-		Trials:   n,
-		BaseSeed: seed,
-		Workers:  workers,
-		NoPool:   noPool,
-		Trace:    tracer,
-		Metrics:  reg,
-		Check:    rec,
-		Perf:     col,
-		Features: fcol,
-		Progress: experiment.NewProgress(os.Stderr),
-		Ctx:      ctx,
-	}
-	quar, err := sf.Apply(&opts)
-	if err != nil {
-		return 0, false, err
-	}
+// runSweep is the -trials >1 path: opts.Trials same-plan trials over the
+// sweep engine under trial supervision, aggregated exactly as table2
+// aggregates (HTML identified, ranks correct, broken loads). It reports
+// whether the sweep was interrupted (partial results).
+func runSweep(opts experiment.Options, plan adversary.AttackPlan, scenario string, fleetCfg *core.FleetConfig, knobs string) (interrupted bool, err error) {
+	n, seed := opts.Trials, opts.BaseSeed
+	opts.Progress = experiment.NewProgress(os.Stderr)
 	// A quarantined trial's repro replays it standalone: same seed and
 	// attack knobs as a one-trial run, with the chaos injection remapped to
 	// flat index 0 and — for watchdog kills — the same step budget, so the
 	// replay dies as loudly as the original did.
-	quar.SetRepro(func(f experiment.TrialFailure) string {
+	opts.Quarantine.SetRepro(func(f experiment.TrialFailure) string {
 		cmd := fmt.Sprintf("go run ./cmd/h2attack -trials 1 -seed %d%s", f.Seed, knobs)
 		if opts.ChaosTrial != nil {
 			if m := opts.ChaosTrial(f.Trial); m != core.ChaosNone {
@@ -378,7 +261,7 @@ func runSweep(ctx context.Context, seed int64, n, workers int, noPool bool, plan
 			}
 		}
 		if f.Kind == experiment.FailTimeout {
-			cmd += fmt.Sprintf(" -step-budget %d", sf.StepBudget)
+			cmd += fmt.Sprintf(" -step-budget %d", opts.StepBudget)
 		}
 		return cmd
 	})
@@ -393,7 +276,7 @@ func runSweep(ctx context.Context, seed int64, n, workers int, noPool bool, plan
 	})
 	if err != nil {
 		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			return 0, false, err
+			return false, err
 		}
 		interrupted = true
 	}
@@ -440,7 +323,7 @@ func runSweep(ctx context.Context, seed int64, n, workers int, noPool bool, plan
 	if interrupted {
 		fmt.Printf("  INTERRUPTED: %d of %d trials completed; aggregates below are partial\n", completed, n)
 	}
-	if qn := quar.Len(); qn > 0 {
+	if qn := opts.Quarantine.Len(); qn > 0 {
 		fmt.Printf("  DEGRADED: %d trial(s) quarantined (counted as broken below); see repro commands in the quarantine report\n", qn)
 	}
 	if fleetCfg != nil {
@@ -463,8 +346,7 @@ func runSweep(ctx context.Context, seed int64, n, workers int, noPool bool, plan
 		}
 	}
 	fmt.Println(strings.Join(parts, ", "))
-	qn, err := sf.Report(quar, os.Stderr, "h2attack")
-	return qn, interrupted, err
+	return interrupted, nil
 }
 
 // printFleet renders a fleet trial: who the middlebox picked out of the
@@ -511,17 +393,6 @@ func printFleet(res *core.TrialResult) {
 	if res.Broken {
 		fmt.Printf("  page load broke: %s\n", res.BrokenReason)
 	}
-}
-
-func holdAndClose(ds *obs.DebugServer, hold time.Duration) {
-	if ds == nil {
-		return
-	}
-	if hold > 0 {
-		fmt.Fprintf(os.Stderr, "h2attack: holding %v for debug scrapes\n", hold)
-		time.Sleep(hold)
-	}
-	_ = ds.Close()
 }
 
 func fatal(err error) {

@@ -181,9 +181,6 @@ func (m *Monitor) Records() []RecordEvent { return m.records }
 // GETCount reports the GETs counted so far.
 func (m *Monitor) GETCount() int { return m.getCount }
 
-// ControlCount reports client→server control records counted so far.
-func (m *Monitor) ControlCount() int { return m.controlCount }
-
 // LastServerDataAt reports when the last substantial server→client
 // payload packet was forwarded (not dropped) past the tap, and whether
 // one has been seen at all. Control records arriving long after this are

@@ -1,10 +1,13 @@
-// Package cliutil factors the flag plumbing the repository's commands
-// share: the -trace/-trace-format pair with its export-on-exit receipt,
-// the -debug-addr observability endpoint (metrics + pprof + live trace
-// download), and the -perf/-cpuprofile/-memprofile performance
-// observatory. Commands register the flags on their FlagSet, then ask
-// for a tracer / debug server / perf collector after flag.Parse;
-// everything stays inert when the flags are unset.
+// Package cliutil is the harness the repository's commands share: one
+// Harness registers the instrument and supervision flags (-trace,
+// -debug-addr, -check, -features, the -perf observatory and the sweep
+// supervision group), arms every instrument they ask for into an
+// experiment.Options, and finishes the run by exporting the artifacts,
+// printing the reports and resolving the exit code. A command calls
+// Register, Arm and Finish once each; everything stays inert when the
+// flags are unset. Per-command differences (the wall-clock tracer of a
+// server, a tracer or registry another consumer forces, where receipts
+// go) are fields set before Arm, not flags.
 package cliutil
 
 import (
@@ -16,6 +19,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -30,334 +34,6 @@ import (
 	"h2privacy/internal/trace"
 )
 
-// TraceFlags holds the -trace / -trace-format pair.
-type TraceFlags struct {
-	Path   string
-	Format string
-}
-
-// RegisterTrace adds -trace and -trace-format to fs. what describes the
-// trace in the -trace flag's help text ("the trial's cross-layer trace").
-func (tf *TraceFlags) RegisterTrace(fs *flag.FlagSet, what string) {
-	fs.StringVar(&tf.Path, "trace", "", "export "+what+" to this file")
-	fs.StringVar(&tf.Format, "trace-format", trace.FormatChrome,
-		"trace export format: "+strings.Join(trace.Formats(), ", "))
-}
-
-// Armed reports whether -trace was given.
-func (tf *TraceFlags) Armed() bool { return tf.Path != "" }
-
-// NewTracer validates the format up front (so a typo fails before a long
-// run, not at export time) and returns a tracer when -trace was given or
-// force is set — commands force one when another consumer (a timeline, a
-// debug endpoint) needs events regardless of export. Returns nil, nil
-// when no tracer is wanted.
-func (tf *TraceFlags) NewTracer(cfg trace.Config, force bool) (*trace.Tracer, error) {
-	if !tf.Armed() && !force {
-		return nil, nil
-	}
-	if !validFormat(tf.Format) {
-		return nil, fmt.Errorf("unknown trace format %q (want %s)",
-			tf.Format, strings.Join(trace.Formats(), ", "))
-	}
-	return trace.New(nil, cfg), nil
-}
-
-// NewWallTracer is NewTracer for wall-clock, goroutine-per-stream
-// commands (h2serve): the tracer stamps real time and takes the mutex
-// path.
-func (tf *TraceFlags) NewWallTracer(force bool) (*trace.Tracer, error) {
-	if !tf.Armed() && !force {
-		return nil, nil
-	}
-	if !validFormat(tf.Format) {
-		return nil, fmt.Errorf("unknown trace format %q (want %s)",
-			tf.Format, strings.Join(trace.Formats(), ", "))
-	}
-	return trace.New(trace.WallClock(), trace.Config{Concurrent: true}), nil
-}
-
-// Export writes the trace to -trace's path in -trace-format and prints a
-// receipt to logw ("tool: wrote N trace events ..."). A no-op when -trace
-// was not given or the tracer is nil.
-func (tf *TraceFlags) Export(tr *trace.Tracer, logw io.Writer, tool string) error {
-	if !tf.Armed() || tr == nil {
-		return nil
-	}
-	f, err := os.Create(tf.Path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteFormat(f, tf.Format); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if logw != nil {
-		fmt.Fprintf(logw, "%s: wrote %d trace events (%s) to %s\n",
-			tool, tr.Len(), tf.Format, tf.Path)
-	}
-	return nil
-}
-
-func validFormat(format string) bool {
-	for _, f := range trace.Formats() {
-		if f == format {
-			return true
-		}
-	}
-	return false
-}
-
-// CheckFlags holds the -check / -check-report pair.
-type CheckFlags struct {
-	Enabled    bool
-	ReportPath string
-}
-
-// RegisterCheck adds -check and -check-report to fs.
-func (cf *CheckFlags) RegisterCheck(fs *flag.FlagSet) {
-	fs.BoolVar(&cf.Enabled, "check", false,
-		"arm runtime invariant checking on every layer of each trial (see internal/check)")
-	fs.StringVar(&cf.ReportPath, "check-report", "",
-		"with -check: also write the full violation report to this file")
-}
-
-// Armed reports whether -check was given.
-func (cf *CheckFlags) Armed() bool { return cf.Enabled }
-
-// NewRecorder returns a violation recorder when -check was given, else nil.
-func (cf *CheckFlags) NewRecorder() *check.Recorder {
-	if !cf.Armed() {
-		return nil
-	}
-	return check.NewRecorder()
-}
-
-// Report prints the recorder's summary to logw, writes the full report to
-// -check-report when set, and returns the total violation count — callers
-// exit nonzero when it is. A nil recorder (unarmed) reports zero.
-func (cf *CheckFlags) Report(rec *check.Recorder, logw io.Writer, tool string) (int, error) {
-	if rec == nil {
-		return 0, nil
-	}
-	if logw != nil {
-		fmt.Fprintf(logw, "%s: %s\n", tool, strings.TrimRight(rec.Report(), "\n"))
-	}
-	if cf.ReportPath != "" {
-		f, err := os.Create(cf.ReportPath)
-		if err != nil {
-			return rec.Total(), err
-		}
-		rec.WriteReport(f)
-		if err := f.Close(); err != nil {
-			return rec.Total(), err
-		}
-		if logw != nil {
-			fmt.Fprintf(logw, "%s: wrote check report to %s\n", tool, cf.ReportPath)
-		}
-	}
-	return rec.Total(), nil
-}
-
-// PerfFlags holds the performance-observatory flag set: -perf (per-stage
-// cost attribution), -perf-out (write the report as JSON), -cpuprofile
-// and -memprofile (pprof captures). Any of the four arms the collector —
-// profiling without attribution would lose the stage labels, and a
-// report path without -perf would write an empty report.
-type PerfFlags struct {
-	Enabled bool
-	OutPath string
-	CPUPath string
-	MemPath string
-
-	cpuFile *os.File
-}
-
-// RegisterPerf adds -perf, -perf-out, -cpuprofile and -memprofile to fs.
-func (pf *PerfFlags) RegisterPerf(fs *flag.FlagSet) {
-	fs.BoolVar(&pf.Enabled, "perf", false,
-		"attribute host-side cost per trial stage (build/run/capture/check/publish) and print the hot-stage table on exit")
-	fs.StringVar(&pf.OutPath, "perf-out", "",
-		"write the perf report (stage table, worker utilization) as JSON to this file; implies -perf")
-	fs.StringVar(&pf.CPUPath, "cpuprofile", "",
-		"write a CPU profile (pprof, stage-labeled) to this file; implies -perf")
-	fs.StringVar(&pf.MemPath, "memprofile", "",
-		"write a heap profile (pprof, post-GC) to this file on exit; implies -perf")
-}
-
-// Armed reports whether any perf flag was given.
-func (pf *PerfFlags) Armed() bool {
-	return pf.Enabled || pf.OutPath != "" || pf.CPUPath != "" || pf.MemPath != ""
-}
-
-// NewCollector returns a perf collector when any perf flag was given,
-// else nil (the zero-cost disabled path — see internal/perf). When a CPU
-// profile is being captured, goroutine stage labels are armed too, so
-// profile samples carry experiment/stage dimensions; without a profile
-// the labels would cost allocations for nothing and stay off.
-func (pf *PerfFlags) NewCollector() *perf.Collector {
-	if !pf.Armed() {
-		return nil
-	}
-	c := perf.NewCollector()
-	if pf.CPUPath != "" {
-		c.EnableLabels()
-	}
-	return c
-}
-
-// StartProfiles begins the CPU profile when -cpuprofile was given. Call
-// before the workload; pair with StopProfiles after it.
-func (pf *PerfFlags) StartProfiles(logw io.Writer, tool string) error {
-	if pf.CPUPath == "" {
-		return nil
-	}
-	f, err := os.Create(pf.CPUPath)
-	if err != nil {
-		return err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return err
-	}
-	pf.cpuFile = f
-	return nil
-}
-
-// StopProfiles stops the CPU profile and writes the heap profile (after a
-// forced GC, so the capture shows live heap rather than garbage),
-// printing a receipt per file. Safe to call when nothing was started.
-func (pf *PerfFlags) StopProfiles(logw io.Writer, tool string) error {
-	if pf.cpuFile != nil {
-		pprof.StopCPUProfile()
-		err := pf.cpuFile.Close()
-		pf.cpuFile = nil
-		if err != nil {
-			return err
-		}
-		if logw != nil {
-			fmt.Fprintf(logw, "%s: wrote CPU profile to %s\n", tool, pf.CPUPath)
-		}
-	}
-	if pf.MemPath != "" {
-		f, err := os.Create(pf.MemPath)
-		if err != nil {
-			return err
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if logw != nil {
-			fmt.Fprintf(logw, "%s: wrote heap profile to %s\n", tool, pf.MemPath)
-		}
-	}
-	return nil
-}
-
-// Report prints the collector's hot-stage table to logw and, when
-// -perf-out was given, writes the full report as JSON with a receipt. A
-// nil collector (unarmed) reports nothing.
-func (pf *PerfFlags) Report(c *perf.Collector, logw io.Writer, tool string) error {
-	if c == nil {
-		return nil
-	}
-	rep := c.Report()
-	if logw != nil {
-		rep.WriteText(logw, 0)
-	}
-	if pf.OutPath != "" {
-		if err := rep.WriteFile(pf.OutPath); err != nil {
-			return err
-		}
-		if logw != nil {
-			fmt.Fprintf(logw, "%s: wrote perf report to %s\n", tool, pf.OutPath)
-		}
-	}
-	return nil
-}
-
-// FeatureFlags holds the -features / -features-out pair: the flowseq
-// event-sequence analytics (per-stream timelines, burst tables, size/gap
-// features, clean-slate spans).
-type FeatureFlags struct {
-	Enabled bool
-	OutPath string
-}
-
-// RegisterFeatures adds -features and -features-out to fs.
-func (ff *FeatureFlags) RegisterFeatures(fs *flag.FlagSet) {
-	fs.BoolVar(&ff.Enabled, "features", false,
-		"extract per-stream flow features (timelines, burst tables, clean-slate spans) and print them on exit")
-	fs.StringVar(&ff.OutPath, "features-out", "",
-		"write the feature rows to this file (.csv → stream CSV, else JSONL with stream/burst/span tables); implies -features extraction")
-}
-
-// Armed reports whether either feature flag was given.
-func (ff *FeatureFlags) Armed() bool { return ff.Enabled || ff.OutPath != "" }
-
-// NewCollector returns a flowseq collector when a feature flag was given or
-// force is set — commands force one when -debug-addr is up, so
-// /debug/flows serves live burst tables even without an export. Nil when
-// extraction is unwanted (the zero-cost disabled path: every downstream
-// analyzer stays nil). The collector's receipt is published as the
-// "features" expvar on /debug/vars.
-func (ff *FeatureFlags) NewCollector(force bool) *flowseq.Collector {
-	if !ff.Armed() && !force {
-		return nil
-	}
-	col := flowseq.NewCollector()
-	out := ff.OutPath
-	obs.PublishFeaturesVar(func() any { return col.Receipt(out) })
-	return col
-}
-
-// Export prints the burst tables to logw when -features was given and
-// writes the feature rows to -features-out when set (.csv → the stream
-// CSV, anything else → the three-table JSONL), with a receipt line. A nil
-// collector is a no-op.
-func (ff *FeatureFlags) Export(col *flowseq.Collector, logw io.Writer, tool string) error {
-	if col == nil {
-		return nil
-	}
-	if ff.Enabled && logw != nil {
-		if err := col.WriteTable(logw); err != nil {
-			return err
-		}
-	}
-	if ff.OutPath == "" {
-		return nil
-	}
-	format := flowseq.FormatJSONL
-	if strings.HasSuffix(ff.OutPath, ".csv") {
-		format = flowseq.FormatCSV
-	}
-	f, err := os.Create(ff.OutPath)
-	if err != nil {
-		return err
-	}
-	if err := col.WriteFlows(f, format); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if logw != nil {
-		r := col.Receipt(ff.OutPath)
-		fmt.Fprintf(logw, "%s: wrote %d stream / %d burst / %d span feature rows (schema %d, %s) to %s\n",
-			tool, r.StreamRows, r.BurstRows, r.SpanRows, r.Schema, format, ff.OutPath)
-	}
-	return nil
-}
-
 // DefaultStepBudget is the per-trial virtual-time watchdog default: a
 // full attack trial executes ~12k scheduler events, so five million is
 // ~400x headroom for the attack itself while a chaos-hang trial burns
@@ -367,35 +43,390 @@ func (ff *FeatureFlags) Export(col *flowseq.Collector, logw io.Writer, tool stri
 // event rate.
 const DefaultStepBudget = 5_000_000
 
-// SuperviseFlags holds the sweep supervision flag group: retry bounds,
-// per-trial watchdogs, deterministic fault injection, the degraded-mode
-// exit policy and the quarantine artifact path. Registered alongside the
-// Check/Perf/Feature groups so all sweep-capable commands stay
-// consistent.
-type SuperviseFlags struct {
-	MaxRetries    int
-	TrialDeadline time.Duration
-	StepBudget    uint64
-	Chaos         string
-	Strict        bool
-	QuarantineOut string
+// Harness is one command's instrument and supervision flag set and the
+// instruments armed from it.
+type Harness struct {
+	// Tool names the command in every receipt and error line.
+	Tool string
+	// TraceWhat describes the trace in -trace's help text.
+	TraceWhat string
+	// Server marks a wall-clock, goroutine-per-stream command (h2serve):
+	// its tracer stamps real time and takes the mutex path, and it has no
+	// perf or supervision flags.
+	Server bool
+	// Log receives diagnostics and reports; nil is stderr. Receipts
+	// receives the trace and feature export receipts; nil is Log.
+	Log, Receipts io.Writer
+
+	// ForceTrace builds a tracer without -trace, for a consumer other than
+	// the export (h2attack's -timeline). ForceRegistry builds the metrics
+	// registry without -debug-addr (h2bench's -manifest). Hold keeps the
+	// debug server up this long after the run (h2attack's -hold). All
+	// three are read by Arm or Finish, so they may be set from parsed
+	// flags.
+	ForceTrace, ForceRegistry bool
+	Hold                      time.Duration
+
+	// Flag values.
+	TracePath, TraceFormat          string
+	DebugAddr                       string
+	Check                           bool
+	CheckReport                     string
+	Features                        bool
+	FeaturesOut                     string
+	Perf                            bool
+	PerfOut, CPUProfile, MemProfile string
+	MaxRetries                      int
+	StepBudget                      uint64
+	Chaos                           string
+	Strict                          bool
+	QuarantineOut                   string
+
+	opts    *experiment.Options
+	debug   *obs.DebugServer
+	cpuFile *os.File
 }
 
-// RegisterSupervise adds -max-retries, -trial-deadline, -step-budget,
-// -chaos, -strict and -quarantine-out to fs.
-func (sf *SuperviseFlags) RegisterSupervise(fs *flag.FlagSet) {
-	fs.IntVar(&sf.MaxRetries, "max-retries", 1,
+// Register adds the harness's flags to fs: -trace, -trace-format,
+// -debug-addr, -check, -check-report, -features and -features-out, and
+// unless Server also -perf, -perf-out, -cpuprofile, -memprofile,
+// -max-retries, -step-budget, -chaos, -strict and -quarantine-out.
+func (h *Harness) Register(fs *flag.FlagSet) {
+	fs.StringVar(&h.TracePath, "trace", "", "export "+h.TraceWhat+" to this file")
+	fs.StringVar(&h.TraceFormat, "trace-format", trace.FormatChrome,
+		"trace export format: "+strings.Join(trace.Formats(), ", "))
+	fs.StringVar(&h.DebugAddr, "debug-addr", "",
+		"serve /metrics, /healthz, /debug/pprof, /debug/trace and /debug/flows on this address (e.g. :9090; empty disables)")
+	fs.BoolVar(&h.Check, "check", false,
+		"arm runtime invariant checking on every layer of each trial (see internal/check)")
+	fs.StringVar(&h.CheckReport, "check-report", "",
+		"with -check: also write the full violation report to this file")
+	fs.BoolVar(&h.Features, "features", false,
+		"extract per-stream flow features (timelines, burst tables, clean-slate spans) and print them on exit")
+	fs.StringVar(&h.FeaturesOut, "features-out", "",
+		"write the feature rows to this file (.csv → stream CSV, else JSONL with stream/burst/span tables); implies -features extraction")
+	if h.Server {
+		return
+	}
+	fs.BoolVar(&h.Perf, "perf", false,
+		"attribute host-side cost per trial stage (build/run/capture/check/publish) and print the hot-stage table on exit")
+	fs.StringVar(&h.PerfOut, "perf-out", "",
+		"write the perf report (stage table, worker utilization) as JSON to this file; implies -perf")
+	fs.StringVar(&h.CPUProfile, "cpuprofile", "",
+		"write a CPU profile (pprof, stage-labeled) to this file; implies -perf")
+	fs.StringVar(&h.MemProfile, "memprofile", "",
+		"write a heap profile (pprof, post-GC) to this file on exit; implies -perf")
+	fs.IntVar(&h.MaxRetries, "max-retries", 1,
 		"re-run a failed trial this many times (fresh state each attempt, escalating backoff) before quarantining it")
-	fs.DurationVar(&sf.TrialDeadline, "trial-deadline", 0,
-		"wall-clock watchdog per trial attempt (0 disables); nondeterministic backstop — prefer -step-budget for reproducible kills")
-	fs.Uint64Var(&sf.StepBudget, "step-budget", DefaultStepBudget,
+	fs.Uint64Var(&h.StepBudget, "step-budget", DefaultStepBudget,
 		"virtual-time watchdog: kill a trial attempt after this many scheduler events (deterministic; 0 disables)")
-	fs.StringVar(&sf.Chaos, "chaos", "",
+	fs.StringVar(&h.Chaos, "chaos", "",
 		"deterministically sabotage trials for supervisor testing: comma list of mode:flatIndex with modes panic|hang, e.g. panic:3,hang:11")
-	fs.BoolVar(&sf.Strict, "strict", false,
+	fs.BoolVar(&h.Strict, "strict", false,
 		"exit non-zero when the sweep completes degraded (any trial quarantined)")
-	fs.StringVar(&sf.QuarantineOut, "quarantine-out", "",
+	fs.StringVar(&h.QuarantineOut, "quarantine-out", "",
 		"write the machine-readable quarantine file (failed trials with repro commands) to this path")
+}
+
+// Arm builds every instrument the parsed flags ask for into opts:
+//
+//   - a tracer with -trace, ForceTrace or -debug-addr (the debug server's
+//     /debug/trace serves its ring live, so scrapes race the simulation
+//     and the tracer takes its mutex path). An unknown -trace-format
+//     fails here, before a long run, not at export time;
+//   - a metrics registry with -debug-addr or ForceRegistry, mirroring the
+//     tracer's counters;
+//   - a check recorder with -check;
+//   - a flowseq collector with -features, -features-out or -debug-addr
+//     (so /debug/flows serves live), published as the "features" expvar;
+//   - a perf collector when any perf flag is given (stage labels only
+//     with a CPU profile, where samples need them), and the CPU profile;
+//   - unless Server, the supervision fields: retries, the step budget,
+//     the -chaos hook and a Quarantine published as the "quarantine"
+//     expvar;
+//   - the debug server on -debug-addr, whose address is logged.
+//
+// Repro commands are the caller's: set them on opts.Check and
+// opts.Quarantine after Arm (both are nil-safe).
+func (h *Harness) Arm(opts *experiment.Options) error {
+	h.opts = opts
+	debug := h.DebugAddr != ""
+	if h.TracePath != "" || h.ForceTrace || debug {
+		if !slices.Contains(trace.Formats(), h.TraceFormat) {
+			return fmt.Errorf("unknown trace format %q (want %s)",
+				h.TraceFormat, strings.Join(trace.Formats(), ", "))
+		}
+		if h.Server {
+			opts.Trace = trace.New(trace.WallClock(), trace.Config{Concurrent: true})
+		} else {
+			opts.Trace = trace.New(nil, trace.Config{Concurrent: debug})
+		}
+	}
+	if debug || h.ForceRegistry {
+		opts.Metrics = obs.NewRegistry()
+		obs.PublishTrace(opts.Metrics, opts.Trace)
+	}
+	if h.Check {
+		opts.Check = check.NewRecorder()
+	}
+	if h.Features || h.FeaturesOut != "" || debug {
+		col, out := flowseq.NewCollector(), h.FeaturesOut
+		obs.PublishFeaturesVar(func() any { return col.Receipt(out) })
+		col.PublishTo(opts.Metrics)
+		opts.Features = col
+	}
+	if h.Perf || h.PerfOut != "" || h.CPUProfile != "" || h.MemProfile != "" {
+		opts.Perf = perf.NewCollector()
+		if h.CPUProfile != "" {
+			opts.Perf.EnableLabels()
+		}
+		opts.Perf.PublishTo(opts.Metrics)
+	}
+	if !h.Server {
+		chaos, err := ParseChaosSpec(h.Chaos)
+		if err != nil {
+			return err
+		}
+		q := experiment.NewQuarantine()
+		obs.PublishQuarantineVar(func() any { return q.Receipt() })
+		opts.MaxRetries = h.MaxRetries
+		opts.RetryBackoff = 100 * time.Millisecond
+		opts.StepBudget = h.StepBudget
+		opts.Quarantine = q
+		opts.ChaosTrial = chaos
+	}
+	if debug {
+		ds := &obs.DebugServer{Registry: opts.Metrics, Tracer: opts.Trace}
+		if opts.Features != nil {
+			ds.Flows = opts.Features
+		}
+		addr, err := ds.Start(h.DebugAddr)
+		if err != nil {
+			return err
+		}
+		h.debug = ds
+		h.logf("debug endpoints on http://%s/ (/metrics /healthz /debug/pprof /debug/trace /debug/flows)", addr)
+	}
+	if h.CPUProfile != "" {
+		f, err := os.Create(h.CPUProfile)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		h.cpuFile = f
+	}
+	return nil
+}
+
+// Finish ends the run Arm started, in order: stop the profiles, print the
+// perf table and write -perf-out, export -trace and the features, run
+// report (the command's own closing output; nil for none), print the
+// quarantine and check reports, and release the debug server after Hold.
+// It returns the exit code: 1 on any check violation, 130 when
+// interrupted, 1 under -strict with trials quarantined, else 0. A failed
+// export is logged and exits 1.
+func (h *Harness) Finish(interrupted bool, report func() error) int {
+	code, err := h.finish(interrupted, report)
+	if err != nil {
+		fmt.Fprintf(h.log(), "%s: %v\n", h.Tool, err)
+		return 1
+	}
+	return code
+}
+
+func (h *Harness) finish(interrupted bool, report func() error) (int, error) {
+	if err := h.stopProfiles(); err != nil {
+		return 0, err
+	}
+	if c := h.opts.Perf; c != nil {
+		rep := c.Report()
+		rep.WriteText(h.log(), 0)
+		if h.PerfOut != "" {
+			if err := rep.WriteFile(h.PerfOut); err != nil {
+				return 0, err
+			}
+			h.logf("wrote perf report to %s", h.PerfOut)
+		}
+	}
+	if err := h.exportTrace(); err != nil {
+		return 0, err
+	}
+	if err := h.exportFeatures(); err != nil {
+		return 0, err
+	}
+	if report != nil {
+		if err := report(); err != nil {
+			return 0, err
+		}
+	}
+	quarantined, err := h.reportQuarantine()
+	if err != nil {
+		return 0, err
+	}
+	violations, err := h.reportCheck()
+	if err != nil {
+		return 0, err
+	}
+	if h.debug != nil {
+		if h.Hold > 0 {
+			h.logf("holding %v for debug scrapes", h.Hold)
+			time.Sleep(h.Hold)
+		}
+		_ = h.debug.Close()
+	}
+	switch {
+	case violations > 0:
+		return 1, nil
+	case interrupted:
+		h.logf("interrupted — partial artifacts exported")
+		return 130, nil
+	case quarantined > 0 && h.Strict:
+		return 1, nil
+	}
+	return 0, nil
+}
+
+// stopProfiles stops the CPU profile and writes the heap profile (after a
+// forced GC, so the capture shows live heap rather than garbage).
+func (h *Harness) stopProfiles() error {
+	if h.cpuFile != nil {
+		pprof.StopCPUProfile()
+		err := h.cpuFile.Close()
+		h.cpuFile = nil
+		if err != nil {
+			return err
+		}
+		h.logf("wrote CPU profile to %s", h.CPUProfile)
+	}
+	if h.MemProfile == "" {
+		return nil
+	}
+	runtime.GC()
+	if err := writeFile(h.MemProfile, pprof.WriteHeapProfile); err != nil {
+		return err
+	}
+	h.logf("wrote heap profile to %s", h.MemProfile)
+	return nil
+}
+
+func (h *Harness) exportTrace() error {
+	tr := h.opts.Trace
+	if h.TracePath == "" || tr == nil {
+		return nil
+	}
+	if err := writeFile(h.TracePath, func(w io.Writer) error { return tr.WriteFormat(w, h.TraceFormat) }); err != nil {
+		return err
+	}
+	fmt.Fprintf(h.receipts(), "%s: wrote %d trace events (%s) to %s\n",
+		h.Tool, tr.Len(), h.TraceFormat, h.TracePath)
+	return nil
+}
+
+// exportFeatures prints the burst tables with -features and writes the
+// feature rows to -features-out (.csv → the stream CSV, anything else →
+// the three-table JSONL).
+func (h *Harness) exportFeatures() error {
+	col := h.opts.Features
+	if col == nil {
+		return nil
+	}
+	if h.Features {
+		if err := col.WriteTable(h.receipts()); err != nil {
+			return err
+		}
+	}
+	if h.FeaturesOut == "" {
+		return nil
+	}
+	format := flowseq.FormatJSONL
+	if strings.HasSuffix(h.FeaturesOut, ".csv") {
+		format = flowseq.FormatCSV
+	}
+	if err := writeFile(h.FeaturesOut, func(w io.Writer) error { return col.WriteFlows(w, format) }); err != nil {
+		return err
+	}
+	r := col.Receipt(h.FeaturesOut)
+	fmt.Fprintf(h.receipts(), "%s: wrote %d stream / %d burst / %d span feature rows (schema %d, %s) to %s\n",
+		h.Tool, r.StreamRows, r.BurstRows, r.SpanRows, r.Schema, format, h.FeaturesOut)
+	return nil
+}
+
+// reportQuarantine prints the degraded-mode summary (each quarantined
+// trial with its standalone repro command) and writes -quarantine-out —
+// even with zero failures, so CI can assert on the file unconditionally.
+// It returns the quarantined count.
+func (h *Harness) reportQuarantine() (int, error) {
+	q := h.opts.Quarantine
+	if q == nil {
+		return 0, nil
+	}
+	n := q.Len()
+	if n > 0 {
+		h.logf("sweep DEGRADED: %d trial(s) quarantined after exhausting retries", n)
+		for _, f := range q.Failures() {
+			fmt.Fprintf(h.log(), "  trial %d (seed %d) [%s] after %d attempt(s): %s\n",
+				f.Trial, f.Seed, f.Kind, f.Attempts, f.Err)
+			fmt.Fprintf(h.log(), "      repro: %s\n", f.Repro)
+		}
+	}
+	if h.QuarantineOut != "" {
+		if err := q.WriteFile(h.QuarantineOut, h.Tool); err != nil {
+			return n, err
+		}
+		h.logf("wrote quarantine file (%d entries) to %s", n, h.QuarantineOut)
+	}
+	return n, nil
+}
+
+// reportCheck prints the recorder's summary, writes -check-report, and
+// returns the violation count.
+func (h *Harness) reportCheck() (int, error) {
+	rec := h.opts.Check
+	if rec == nil {
+		return 0, nil
+	}
+	h.logf("%s", strings.TrimRight(rec.Report(), "\n"))
+	if h.CheckReport != "" {
+		if err := writeFile(h.CheckReport, func(w io.Writer) error { rec.WriteReport(w); return nil }); err != nil {
+			return rec.Total(), err
+		}
+		h.logf("wrote check report to %s", h.CheckReport)
+	}
+	return rec.Total(), nil
+}
+
+func (h *Harness) log() io.Writer {
+	if h.Log == nil {
+		return os.Stderr
+	}
+	return h.Log
+}
+
+func (h *Harness) receipts() io.Writer {
+	if h.Receipts == nil {
+		return h.log()
+	}
+	return h.Receipts
+}
+
+func (h *Harness) logf(format string, args ...any) {
+	fmt.Fprintf(h.log(), "%s: %s\n", h.Tool, fmt.Sprintf(format, args...))
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ParseChaosSpec parses the -chaos spec ("panic:3,hang:11") into the
@@ -424,64 +455,6 @@ func ParseChaosSpec(spec string) (func(int) core.ChaosMode, error) {
 	return func(flat int) core.ChaosMode { return m[flat] }, nil
 }
 
-// Apply threads the supervision flags into opts — retry bounds,
-// watchdogs, chaos injection — and arms degraded mode with a fresh
-// Quarantine collector, published as the "quarantine" expvar for
-// /debug/vars. Returns the collector for Report after the sweep.
-func (sf *SuperviseFlags) Apply(opts *experiment.Options) (*experiment.Quarantine, error) {
-	chaos, err := ParseChaosSpec(sf.Chaos)
-	if err != nil {
-		return nil, err
-	}
-	q := experiment.NewQuarantine()
-	obs.PublishQuarantineVar(func() any { return q.Receipt() })
-	opts.MaxRetries = sf.MaxRetries
-	opts.RetryBackoff = 100 * time.Millisecond
-	opts.TrialDeadline = sf.TrialDeadline
-	opts.StepBudget = sf.StepBudget
-	opts.Quarantine = q
-	opts.ChaosTrial = chaos
-	return q, nil
-}
-
-// Report prints the degraded-mode summary (each quarantined trial with
-// its standalone repro command) and writes the -quarantine-out artifact —
-// always when the flag is set, even with zero failures, so CI can assert
-// the file's presence and content unconditionally. Returns the
-// quarantined count; with -strict a non-zero count should exit non-zero
-// (Exit folds that policy).
-func (sf *SuperviseFlags) Report(q *experiment.Quarantine, logw io.Writer, tool string) (int, error) {
-	n := q.Len()
-	if n > 0 && logw != nil {
-		fmt.Fprintf(logw, "%s: sweep DEGRADED: %d trial(s) quarantined after exhausting retries\n", tool, n)
-		for _, f := range q.Failures() {
-			fmt.Fprintf(logw, "  trial %d (seed %d) [%s] after %d attempt(s): %s\n",
-				f.Trial, f.Seed, f.Kind, f.Attempts, f.Err)
-			fmt.Fprintf(logw, "      repro: %s\n", f.Repro)
-		}
-	}
-	if sf.QuarantineOut != "" {
-		if err := q.WriteFile(sf.QuarantineOut, tool); err != nil {
-			return n, err
-		}
-		if logw != nil {
-			fmt.Fprintf(logw, "%s: wrote quarantine file (%d entries) to %s\n", tool, n, sf.QuarantineOut)
-		}
-	}
-	return n, nil
-}
-
-// Exit resolves the degraded-mode exit policy: 0 when nothing was
-// quarantined or degraded completion is tolerated (the default — a
-// degraded sweep that salvaged its other trials is a success), 1 under
-// -strict.
-func (sf *SuperviseFlags) Exit(quarantined int) int {
-	if quarantined > 0 && sf.Strict {
-		return 1
-	}
-	return 0
-}
-
 // SignalContext returns a context cancelled on SIGINT/SIGTERM, for
 // experiment.Options.Ctx: the first signal starts the cooperative drain
 // (workers stop claiming trials, the trial in flight is interrupted at
@@ -490,41 +463,4 @@ func (sf *SuperviseFlags) Exit(quarantined int) int {
 // handler. Callers defer stop().
 func SignalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-}
-
-// DebugFlags holds -debug-addr.
-type DebugFlags struct {
-	Addr string
-}
-
-// RegisterDebug adds -debug-addr to fs.
-func (df *DebugFlags) RegisterDebug(fs *flag.FlagSet) {
-	fs.StringVar(&df.Addr, "debug-addr", "",
-		"serve /metrics, /healthz, /debug/pprof, /debug/trace and /debug/flows on this address (e.g. :9090; empty disables)")
-}
-
-// Armed reports whether -debug-addr was given.
-func (df *DebugFlags) Armed() bool { return df.Addr != "" }
-
-// Serve starts the debug HTTP server on -debug-addr with the given
-// registry, tracer and flow source (nil flows → /debug/flows 404s with a
-// hint), printing the resolved endpoint to logw. Returns nil, nil when the
-// flag is unset; the caller Closes the server on exit.
-func (df *DebugFlags) Serve(reg *obs.Registry, tr *trace.Tracer, flows *flowseq.Collector, logw io.Writer, tool string) (*obs.DebugServer, error) {
-	if !df.Armed() {
-		return nil, nil
-	}
-	ds := &obs.DebugServer{Registry: reg, Tracer: tr}
-	if flows != nil {
-		ds.Flows = flows
-	}
-	addr, err := ds.Start(df.Addr)
-	if err != nil {
-		return nil, err
-	}
-	if logw != nil {
-		fmt.Fprintf(logw, "%s: debug endpoints on http://%s/ (/metrics /healthz /debug/pprof /debug/trace /debug/flows)\n",
-			tool, addr)
-	}
-	return ds, nil
 }

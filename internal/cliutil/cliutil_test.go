@@ -9,30 +9,39 @@ import (
 	"strings"
 	"testing"
 
-	"h2privacy/internal/obs"
+	"h2privacy/internal/experiment"
 	"h2privacy/internal/perf"
 	"h2privacy/internal/trace"
 )
 
-func TestTraceFlagsLifecycle(t *testing.T) {
+// armed registers a harness on a fresh FlagSet, parses args and arms it,
+// with diagnostics and receipts going to log.
+func armed(t *testing.T, h *Harness, log io.Writer, args ...string) *experiment.Options {
+	t.Helper()
+	h.Tool, h.Log = "testtool", log
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	var tf TraceFlags
-	tf.RegisterTrace(fs, "the test trace")
+	h.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	opts := &experiment.Options{SuperviseLog: io.Discard}
+	if err := h.Arm(opts); err != nil {
+		t.Fatal(err)
+	}
+	return opts
+}
+
+func TestTraceFlagsLifecycle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.json")
-	if err := fs.Parse([]string{"-trace", path, "-trace-format", "summary"}); err != nil {
-		t.Fatal(err)
-	}
-	if !tf.Armed() {
-		t.Fatal("not armed after -trace")
-	}
-	tr, err := tf.NewTracer(trace.Config{}, false)
-	if err != nil || tr == nil {
-		t.Fatalf("NewTracer: %v %v", tr, err)
-	}
-	tr.Emit(trace.LayerH2, "frame", trace.Num("len", 9))
 	var log strings.Builder
-	if err := tf.Export(tr, &log, "testtool"); err != nil {
-		t.Fatal(err)
+	var h Harness
+	opts := armed(t, &h, &log, "-trace", path, "-trace-format", "summary")
+	if opts.Trace == nil {
+		t.Fatal("no tracer after -trace")
+	}
+	opts.Trace.Emit(trace.LayerH2, "frame", trace.Num("len", 9))
+	if code := h.Finish(false, nil); code != 0 {
+		t.Fatalf("Finish = %d", code)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -47,60 +56,56 @@ func TestTraceFlagsLifecycle(t *testing.T) {
 }
 
 func TestTraceFlagsDisarmed(t *testing.T) {
-	var tf TraceFlags
-	tf.Format = trace.FormatChrome
-	tr, err := tf.NewTracer(trace.Config{}, false)
-	if err != nil || tr != nil {
-		t.Fatalf("disarmed NewTracer = %v %v", tr, err)
+	var h Harness
+	if opts := armed(t, &h, io.Discard); opts.Trace != nil {
+		t.Fatal("tracer built without -trace")
 	}
-	// force builds a tracer even without -trace; Export stays a no-op.
-	tr, err = tf.NewTracer(trace.Config{}, true)
-	if err != nil || tr == nil {
-		t.Fatalf("forced NewTracer = %v %v", tr, err)
+	// ForceTrace builds a tracer even without -trace; the export stays a
+	// no-op.
+	h = Harness{ForceTrace: true}
+	opts := armed(t, &h, io.Discard)
+	if opts.Trace == nil {
+		t.Fatal("ForceTrace built no tracer")
 	}
-	if err := tf.Export(tr, io.Discard, "t"); err != nil {
-		t.Fatal(err)
+	if code := h.Finish(false, nil); code != 0 {
+		t.Fatalf("Finish = %d", code)
 	}
 }
 
+// TestTraceFlagsBadFormat: an unknown -trace-format fails at Arm, before
+// any run, for the simulated and the wall-clock tracer alike.
 func TestTraceFlagsBadFormat(t *testing.T) {
-	tf := TraceFlags{Path: "x.json", Format: "nope"}
-	if _, err := tf.NewTracer(trace.Config{}, false); err == nil {
-		t.Fatal("bad format accepted by NewTracer")
-	}
-	if _, err := tf.NewWallTracer(false); err == nil {
-		t.Fatal("bad format accepted by NewWallTracer")
+	for _, server := range []bool{false, true} {
+		h := Harness{Server: server, TracePath: "x.json", TraceFormat: "nope"}
+		if err := h.Arm(&experiment.Options{}); err == nil {
+			t.Fatalf("Server=%t: bad format accepted", server)
+		}
 	}
 }
 
 func TestWallTracer(t *testing.T) {
-	var tf TraceFlags
-	tf.Format = trace.FormatChrome
-	tr, err := tf.NewWallTracer(true)
-	if err != nil || tr == nil {
-		t.Fatalf("NewWallTracer = %v %v", tr, err)
+	h := Harness{Server: true}
+	opts := armed(t, &h, io.Discard, "-trace", filepath.Join(t.TempDir(), "t.json"))
+	if opts.Trace == nil {
+		t.Fatal("no wall-clock tracer")
 	}
-	tr.Emit(trace.LayerH2, "x")
-	if tr.Len() != 1 {
+	opts.Trace.Emit(trace.LayerH2, "x")
+	if opts.Trace.Len() != 1 {
 		t.Fatal("wall tracer dropped the event")
+	}
+	if opts.Quarantine != nil || opts.StepBudget != 0 {
+		t.Fatal("server harness armed sweep supervision")
 	}
 }
 
 func TestDebugFlagsServe(t *testing.T) {
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	var df DebugFlags
-	df.RegisterDebug(fs)
-	if err := fs.Parse([]string{"-debug-addr", "127.0.0.1:0"}); err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	reg.Counter("x_total", "").Inc()
 	var log strings.Builder
-	ds, err := df.Serve(reg, nil, nil, &log, "testtool")
-	if err != nil {
-		t.Fatal(err)
+	var h Harness
+	opts := armed(t, &h, &log, "-debug-addr", "127.0.0.1:0")
+	if opts.Metrics == nil || opts.Trace == nil || opts.Features == nil {
+		t.Fatal("-debug-addr did not arm the registry, tracer and flow collector")
 	}
-	defer ds.Close()
+	opts.Metrics.Counter("x_total", "").Inc()
 	receipt := log.String()
 	if !strings.Contains(receipt, "testtool: debug endpoints on http://127.0.0.1:") {
 		t.Fatalf("receipt wrong: %q", receipt)
@@ -116,38 +121,32 @@ func TestDebugFlagsServe(t *testing.T) {
 	if resp.StatusCode != 200 || !strings.Contains(string(body), "x_total 1") {
 		t.Fatalf("/metrics = %d %q", resp.StatusCode, body)
 	}
+	if code := h.Finish(false, nil); code != 0 {
+		t.Fatalf("Finish = %d", code)
+	}
+	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
+		t.Fatal("debug server still serving after Finish")
+	}
 }
 
 func TestDebugFlagsDisarmed(t *testing.T) {
-	var df DebugFlags
-	ds, err := df.Serve(obs.NewRegistry(), nil, nil, io.Discard, "t")
-	if err != nil || ds != nil {
-		t.Fatalf("disarmed Serve = %v %v", ds, err)
+	var h Harness
+	opts := armed(t, &h, io.Discard)
+	if h.debug != nil || opts.Metrics != nil || opts.Features != nil {
+		t.Fatalf("debug server, registry or flow collector armed without -debug-addr: %+v", opts)
 	}
 }
 
 func TestPerfFlagsDisarmed(t *testing.T) {
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	var pf PerfFlags
-	pf.RegisterPerf(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if pf.Armed() {
-		t.Fatal("armed with no perf flags")
-	}
-	if c := pf.NewCollector(); c != nil {
-		t.Fatal("collector handed out while disarmed")
+	var log strings.Builder
+	var h Harness
+	opts := armed(t, &h, &log)
+	if opts.Perf != nil || opts.Check != nil {
+		t.Fatalf("perf collector or check recorder armed with no flags: %+v", opts)
 	}
 	// The whole lifecycle must be a silent no-op when disarmed.
-	if err := pf.StartProfiles(io.Discard, "x"); err != nil {
-		t.Fatal(err)
-	}
-	if err := pf.StopProfiles(io.Discard, "x"); err != nil {
-		t.Fatal(err)
-	}
-	if err := pf.Report(nil, io.Discard, "x"); err != nil {
-		t.Fatal(err)
+	if code := h.Finish(false, nil); code != 0 || log.Len() != 0 {
+		t.Fatalf("disarmed Finish = %d, logged %q", code, log.String())
 	}
 }
 
@@ -156,35 +155,21 @@ func TestPerfFlagsLifecycle(t *testing.T) {
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "heap.pprof")
 	out := filepath.Join(dir, "perf.json")
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	var pf PerfFlags
-	pf.RegisterPerf(fs)
-	if err := fs.Parse([]string{"-cpuprofile", cpu, "-memprofile", mem, "-perf-out", out}); err != nil {
-		t.Fatal(err)
-	}
-	if !pf.Armed() {
-		t.Fatal("not armed despite profile flags")
-	}
-	col := pf.NewCollector()
-	if col == nil {
+	var log strings.Builder
+	var h Harness
+	opts := armed(t, &h, &log, "-cpuprofile", cpu, "-memprofile", mem, "-perf-out", out)
+	if opts.Perf == nil {
 		t.Fatal("no collector despite armed flags")
 	}
-	if err := pf.StartProfiles(io.Discard, "x"); err != nil {
-		t.Fatal(err)
-	}
 	// A tiny workload so the collector has something to report.
-	w := col.Worker()
+	w := opts.Perf.Worker()
 	tok := w.BeginTrial()
 	sp := w.Start(perf.StageRun)
 	sp.Stop()
 	w.EndTrial(tok)
 	w.Close()
-	var log strings.Builder
-	if err := pf.StopProfiles(&log, "x"); err != nil {
-		t.Fatal(err)
-	}
-	if err := pf.Report(col, &log, "x"); err != nil {
-		t.Fatal(err)
+	if code := h.Finish(false, nil); code != 0 {
+		t.Fatalf("Finish = %d", code)
 	}
 	for _, path := range []string{cpu, mem, out} {
 		st, err := os.Stat(path)

@@ -1,7 +1,6 @@
 package cliutil
 
 import (
-	"bytes"
 	"flag"
 	"io"
 	"os"
@@ -37,56 +36,65 @@ func TestParseChaosSpec(t *testing.T) {
 
 func TestSuperviseFlagsDefaults(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	var sf SuperviseFlags
-	sf.RegisterSupervise(fs)
+	var h Harness
+	h.Register(fs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if sf.MaxRetries != 1 || sf.StepBudget != DefaultStepBudget || sf.TrialDeadline != 0 ||
-		sf.Chaos != "" || sf.Strict || sf.QuarantineOut != "" {
-		t.Fatalf("defaults = %+v", sf)
+	if h.MaxRetries != 1 || h.StepBudget != DefaultStepBudget ||
+		h.Chaos != "" || h.Strict || h.QuarantineOut != "" {
+		t.Fatalf("defaults = %+v", h)
 	}
 	if err := fs.Parse([]string{"-max-retries", "2", "-chaos", "hang:0", "-strict",
 		"-step-budget", "9000", "-quarantine-out", "q.json"}); err != nil {
 		t.Fatal(err)
 	}
-	if sf.MaxRetries != 2 || sf.Chaos != "hang:0" || !sf.Strict ||
-		sf.StepBudget != 9000 || sf.QuarantineOut != "q.json" {
-		t.Fatalf("parsed = %+v", sf)
+	if h.MaxRetries != 2 || h.Chaos != "hang:0" || !h.Strict ||
+		h.StepBudget != 9000 || h.QuarantineOut != "q.json" {
+		t.Fatalf("parsed = %+v", h)
+	}
+	if err := fs.Parse([]string{"-chaos", "bogus:1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Arm(&experiment.Options{}); err == nil {
+		t.Fatal("a bad -chaos spec armed")
 	}
 }
 
-// TestSuperviseApplyDegradedRun drives the flag group end to end: Apply
-// arms a real sweep, an injected panic quarantines one trial, Report
-// prints the degraded summary with its repro line and writes the
-// quarantine artifact, and Exit enforces -strict.
+// TestSuperviseApplyDegradedRun drives supervision end to end: Arm threads the
+// flags into a real sweep, an injected panic quarantines one trial, and
+// Finish prints the degraded summary with its repro line, writes the
+// quarantine artifact and enforces -strict.
 func TestSuperviseApplyDegradedRun(t *testing.T) {
 	qpath := filepath.Join(t.TempDir(), "quarantine.json")
-	sf := SuperviseFlags{MaxRetries: 0, StepBudget: 50_000, Chaos: "panic:0", QuarantineOut: qpath}
-	opts := experiment.Options{BaseSeed: 11, Workers: 1, SuperviseLog: io.Discard}
-	q, err := sf.Apply(&opts)
-	if err != nil {
-		t.Fatal(err)
+	run := func(strict bool) (int, string) {
+		var log strings.Builder
+		var h Harness
+		args := []string{"-max-retries", "0", "-step-budget", "50000", "-chaos", "panic:0", "-quarantine-out", qpath}
+		if strict {
+			args = append(args, "-strict")
+		}
+		opts := armed(t, &h, &log, args...)
+		opts.BaseSeed, opts.Workers = 11, 1
+		if opts.Quarantine == nil || opts.ChaosTrial == nil || opts.StepBudget != 50_000 || opts.MaxRetries != 0 {
+			t.Fatalf("Arm left opts unarmed: %+v", opts)
+		}
+		opts.Quarantine.SetRepro(func(f experiment.TrialFailure) string { return "replay-me" })
+		results, err := opts.Sweep(2, func(tr int) core.TrialConfig {
+			return core.TrialConfig{Seed: opts.BaseSeed + int64(tr)}
+		})
+		if err != nil {
+			t.Fatalf("degraded sweep errored: %v", err)
+		}
+		if !results[0].Quarantined || results[1].Quarantined {
+			t.Fatalf("results = %v / %v, want trial 0 quarantined only", results[0], results[1])
+		}
+		return h.Finish(false, nil), log.String()
 	}
-	if opts.Quarantine != q || opts.ChaosTrial == nil || opts.StepBudget != 50_000 {
-		t.Fatalf("Apply left opts unarmed: %+v", opts)
+	code, out := run(false)
+	if code != 0 {
+		t.Fatalf("degraded completion exited %d without -strict", code)
 	}
-	q.SetRepro(func(f experiment.TrialFailure) string { return "replay-me" })
-	results, err := opts.Sweep(2, func(tr int) core.TrialConfig {
-		return core.TrialConfig{Seed: opts.BaseSeed + int64(tr)}
-	})
-	if err != nil {
-		t.Fatalf("degraded sweep errored: %v", err)
-	}
-	if !results[0].Quarantined || results[1].Quarantined {
-		t.Fatalf("results = %v / %v, want trial 0 quarantined only", results[0], results[1])
-	}
-	var log bytes.Buffer
-	n, err := sf.Report(q, &log, "test")
-	if err != nil || n != 1 {
-		t.Fatalf("Report = (%d, %v), want (1, nil)", n, err)
-	}
-	out := log.String()
 	for _, want := range []string{"DEGRADED", "trial 0 (seed 11) [panic]", "repro: replay-me"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report lacks %q:\n%s", want, out)
@@ -101,15 +109,13 @@ func TestSuperviseApplyDegradedRun(t *testing.T) {
 			t.Fatalf("quarantine file lacks %q:\n%s", want, raw)
 		}
 	}
-	if sf.Exit(n) != 0 {
-		t.Fatal("degraded completion exited non-zero without -strict")
+	if code, _ := run(true); code != 1 {
+		t.Fatalf("-strict tolerated a quarantined trial (exit %d)", code)
 	}
-	sf.Strict = true
-	if sf.Exit(n) != 1 {
-		t.Fatal("-strict tolerated a quarantined trial")
-	}
-	if sf.Exit(0) != 0 {
-		t.Fatal("-strict failed a clean sweep")
+	var h Harness
+	armed(t, &h, io.Discard, "-strict")
+	if code := h.Finish(false, nil); code != 0 {
+		t.Fatalf("-strict failed a clean sweep (exit %d)", code)
 	}
 }
 
@@ -117,10 +123,10 @@ func TestSuperviseApplyDegradedRun(t *testing.T) {
 // with zero failures, so CI can assert on the file unconditionally.
 func TestSuperviseReportWritesEmptyArtifact(t *testing.T) {
 	qpath := filepath.Join(t.TempDir(), "quarantine.json")
-	sf := SuperviseFlags{QuarantineOut: qpath}
-	n, err := sf.Report(experiment.NewQuarantine(), nil, "test")
-	if err != nil || n != 0 {
-		t.Fatalf("Report = (%d, %v)", n, err)
+	var h Harness
+	armed(t, &h, io.Discard, "-quarantine-out", qpath)
+	if code := h.Finish(false, nil); code != 0 {
+		t.Fatalf("Finish = %d", code)
 	}
 	raw, err := os.ReadFile(qpath)
 	if err != nil {

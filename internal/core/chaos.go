@@ -22,9 +22,9 @@ const (
 	// assembled — the "bad code path" failure class.
 	ChaosPanic
 	// ChaosHang schedules a self-rescheduling no-op timer loop that never
-	// quiesces — the "wedged simulation" failure class. A StepBudget or
-	// WallDeadline converts it into a loud watchdog error; without either
-	// the trial grinds through ~1e8 events before the duration cap.
+	// quiesces — the "wedged simulation" failure class. A StepBudget
+	// converts it into a loud watchdog error; without one the trial grinds
+	// through ~1e8 events before the duration cap.
 	ChaosHang
 )
 

@@ -130,16 +130,10 @@ type TrialConfig struct {
 	// RunTrial callers see the panic. Normal trials fire well under a
 	// million events, so generous budgets are invisible.
 	StepBudget uint64
-	// WallDeadline, when >0, arms the wall-clock watchdog backstop: the
-	// scheduler panics with *simtime.DeadlineError once this much host
-	// time has elapsed. Nondeterministic by nature (trials it kills are
-	// not byte-reproducible across hosts) — prefer StepBudget; use this
-	// against pathological-but-finite event storms that grind for minutes.
-	WallDeadline time.Duration
 	// Chaos deterministically sabotages the trial so the sweep supervisor
 	// itself can be tested: ChaosPanic panics as the run starts, ChaosHang
 	// schedules a self-rescheduling timer loop that never quiesces (caught
-	// by StepBudget or WallDeadline). ChaosNone (the default) is inert.
+	// by StepBudget). ChaosNone (the default) is inert.
 	Chaos ChaosMode
 	// DeferMetrics suppresses the at-collection publication of the trial's
 	// outcome metrics (PublishTrialMetrics); the caller publishes the
@@ -266,9 +260,6 @@ func NewTestbed(cfg TrialConfig) (*Testbed, error) {
 	// byte-identical to an unsupervised one.
 	if cfg.StepBudget > 0 {
 		sched.SetStepBudget(cfg.StepBudget)
-	}
-	if cfg.WallDeadline > 0 {
-		sched.SetWallDeadline(cfg.WallDeadline)
 	}
 	if ctx := cfg.Ctx; ctx != nil {
 		sched.SetInterrupt(func() bool { return ctx.Err() != nil })

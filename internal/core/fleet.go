@@ -107,8 +107,8 @@ type DecoyOutcome struct {
 	Completed int
 	Broken    bool
 	Resets    int
-	// Targeted reports whether the adversary armed its attack on this
-	// decoy (a selection miss).
+	// Targeted reports whether the adversary armed its attack plan or
+	// its knobs on this decoy (a selection miss).
 	Targeted bool
 }
 
@@ -238,7 +238,7 @@ type fleet struct {
 	analyzers []*flowseq.Analyzer
 	budget    *adversary.Budget
 	selected  []int
-	targeted  []bool // per flow: the staged attack was armed on it
+	targeted  []bool // per flow: the attack plan or the knobs were armed on it
 	tried     map[int]bool
 	scan      func()
 }
@@ -328,6 +328,7 @@ func (tb *Testbed) selectTargets(fl *fleet) {
 		}
 		if cfg.Attack == nil {
 			applyKnobs(sched, cfg, f.Controller)
+			fl.targeted[fi] = true
 			continue
 		}
 		drv, err := adversary.NewDriver(sched, f.Controller, f.Monitor, *cfg.Attack)

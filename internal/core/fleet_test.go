@@ -241,3 +241,39 @@ func TestFleetKnobsHonourDropFrom(t *testing.T) {
 		t.Errorf("target drop windows opened at %v, want exactly one at %v", opened, dropFrom)
 	}
 }
+
+// TestFleetKnobSelectionMarksTargeted: a fleet with no attack plan arms
+// the single-parameter knobs on the flows its scan selects, and every
+// selected decoy must read Targeted — a knob-armed selection miss is as
+// visible in DecoyOutcome as one armed with the staged attack.
+func TestFleetKnobSelectionMarksTargeted(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		res, err := RunTrial(TrialConfig{Seed: seed,
+			RequestSpacing: 50 * time.Millisecond, DropRate: 0.8,
+			DropFrom: 500 * time.Millisecond, DropDuration: time.Second,
+			Fleet: &FleetConfig{N: 10, Budget: 2, MinScore: -1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fo := res.Fleet
+		decoysSelected := 0
+		for _, fi := range fo.Selected {
+			if fi == 0 {
+				continue
+			}
+			decoysSelected++
+			if d := fo.Decoys[fi-1]; !d.Targeted {
+				t.Errorf("seed %d: decoy %s selected and knob-armed but not Targeted", seed, d.Flow)
+			}
+		}
+		targeted := 0
+		for _, d := range fo.Decoys {
+			if d.Targeted {
+				targeted++
+			}
+		}
+		if targeted != decoysSelected {
+			t.Errorf("seed %d: %d decoys Targeted, %d selected", seed, targeted, decoysSelected)
+		}
+	}
+}

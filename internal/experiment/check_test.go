@@ -21,7 +21,7 @@ func TestAllExperimentsCheckClean(t *testing.T) {
 		t.Skip("runs the whole experiment registry")
 	}
 	rec := check.NewRecorder()
-	opts := Options{Trials: 1, NoProgress: true, Check: rec}
+	opts := Options{Trials: 1, Check: rec}
 	for _, id := range IDs() {
 		runner, ok := Lookup(id)
 		if !ok {

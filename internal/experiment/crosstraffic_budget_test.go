@@ -19,7 +19,7 @@ func TestCrossTrafficWithinDefaultBudget(t *testing.T) {
 	}
 	q := experiment.NewQuarantine()
 	opts := experiment.Options{
-		Trials: 2, BaseSeed: 1, Workers: 2, NoProgress: true,
+		Trials: 2, BaseSeed: 1, Workers: 2,
 		StepBudget:   cliutil.DefaultStepBudget,
 		Quarantine:   q,
 		SuperviseLog: io.Discard,

@@ -26,7 +26,7 @@ const digestFile = "testdata/report_digests.txt"
 // order.
 func reportDigests(t *testing.T) []string {
 	t.Helper()
-	opts := experiment.Options{Trials: 1, BaseSeed: 1, Workers: 2, NoProgress: true}
+	opts := experiment.Options{Trials: 1, BaseSeed: 1, Workers: 2}
 	var lines []string
 	for _, id := range experiment.IDs() {
 		run, _ := experiment.Lookup(id)

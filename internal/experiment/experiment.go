@@ -9,7 +9,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -70,12 +69,10 @@ type Options struct {
 	// registry, so a final snapshot summarizes the run and a live scrape
 	// shows it advancing. Nil keeps trials unmetered at zero cost.
 	Metrics *obs.Registry
-	// Progress, when non-nil, is ticked once per completed trial; RunAll
-	// also drives its Start/Done around each experiment. Nil reports
-	// nothing (RunAll substitutes a stderr reporter unless NoProgress).
+	// Progress, when non-nil, is ticked once per completed trial; the
+	// caller drives its Start/Done around each experiment. Nil reports
+	// nothing.
 	Progress *Progress
-	// NoProgress suppresses RunAll's default stderr progress reporter.
-	NoProgress bool
 	// NoPool disables trial-scoped buffer recycling. By default every
 	// sweep worker owns a pool.Arena that trials reuse (tcpsim payload
 	// buffers and segment graphs come from it and return to it when the
@@ -92,9 +89,6 @@ type Options struct {
 	// bytes. Diagnostic; the pooled-identity tests run sweeps poisoned to
 	// prove no such consumer exists. Ignored with NoPool.
 	PoolPoison bool
-	// Manifest, when non-nil, collects per-experiment accounting in RunAll
-	// (callers running experiments by hand use Manifest.Record directly).
-	Manifest *Manifest
 	// Ctx, when non-nil, arms cooperative cancellation: workers stop
 	// claiming new trials once the context is done, the trial in flight is
 	// interrupted at the scheduler's next poll window, and the sweep
@@ -112,12 +106,6 @@ type Options struct {
 	// doubling for each further one; 0 retries immediately. Wall-clock
 	// only — it never touches virtual time or any deterministic output.
 	RetryBackoff time.Duration
-	// TrialDeadline, when > 0, arms a wall-clock watchdog on every trial
-	// attempt (core.TrialConfig.WallDeadline): a simulation grinding past
-	// it is killed with a simtime.DeadlineError. A nondeterministic
-	// backstop against host-side wedges — prefer StepBudget, which trips
-	// deterministically, wherever reproducibility matters.
-	TrialDeadline time.Duration
 	// StepBudget, when > 0, arms a virtual-time watchdog on every trial
 	// attempt (core.TrialConfig.StepBudget): a trial executing more than
 	// this many scheduler events is killed with a simtime.BudgetError at
@@ -145,7 +133,7 @@ type Options struct {
 	// workers (the cmds' -chaos hook is a pure map lookup).
 	ChaosTrial func(flat int) core.ChaosMode
 	// Experiment is the id of the experiment being run. Runners obtained
-	// through Lookup or RunAll set it; the supervisor stamps it on check
+	// through Lookup set it; the supervisor stamps it on check
 	// violations and quarantined failures so repro commands name it.
 	Experiment string
 }
@@ -279,30 +267,6 @@ func Lookup(id string) (Runner, bool) {
 		}
 	}
 	return nil, false
-}
-
-// RunAll executes every experiment in order, reporting per-experiment
-// progress (id, trial counts, trials/sec, ETA) through opts.Progress — or
-// a default stderr reporter unless opts.NoProgress — and recording each
-// experiment's accounting into opts.Manifest when one is attached.
-func RunAll(opts Options, w io.Writer) error {
-	opts = opts.withDefaults()
-	if opts.Progress == nil && !opts.NoProgress {
-		opts.Progress = NewProgress(os.Stderr)
-	}
-	for _, e := range registry {
-		opts.Progress.Start(e.id, PlannedTrials(e.id, opts))
-		opts.Perf.BeginExperiment(e.id)
-		opts.Experiment = e.id
-		rep, err := e.runner(opts)
-		if err != nil {
-			return fmt.Errorf("experiment %s: %w", e.id, err)
-		}
-		trials, wall := opts.Progress.Done()
-		opts.Manifest.Record(e.id, rep.Title, trials, len(rep.Rows), wall)
-		rep.Render(w)
-	}
-	return nil
 }
 
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }

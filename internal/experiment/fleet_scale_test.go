@@ -11,7 +11,7 @@ import (
 // slate on every row, with zero broken decoys or spurious resets under
 // the default FIFO bottleneck.
 func TestFleetScaleTable(t *testing.T) {
-	rep, err := FleetScale(Options{Trials: 4, BaseSeed: 4242, Workers: 2, NoProgress: true})
+	rep, err := FleetScale(Options{Trials: 4, BaseSeed: 4242, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +43,11 @@ func TestFleetScaleTable(t *testing.T) {
 // workers and requires identical rendered reports — the fleet table is
 // as worker-count-independent as every other experiment.
 func TestFleetScaleDeterministicAcrossWorkers(t *testing.T) {
-	a, err := FleetScale(Options{Trials: 2, BaseSeed: 7, Workers: 1, NoProgress: true})
+	a, err := FleetScale(Options{Trials: 2, BaseSeed: 7, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FleetScale(Options{Trials: 2, BaseSeed: 7, Workers: 4, NoProgress: true})
+	b, err := FleetScale(Options{Trials: 2, BaseSeed: 7, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

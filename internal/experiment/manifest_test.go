@@ -15,7 +15,7 @@ import (
 func runManifestSweep(t *testing.T) []byte {
 	t.Helper()
 	reg := obs.NewRegistry()
-	opts := Options{Trials: 2, BaseSeed: 7, Metrics: reg, NoProgress: true}
+	opts := Options{Trials: 2, BaseSeed: 7, Metrics: reg}
 	man := NewManifest("test-sweep", opts)
 	prog := NewProgress(nil) // count trials without rendering
 	opts.Progress = prog
@@ -67,7 +67,7 @@ func TestManifestDeterministic(t *testing.T) {
 
 func TestManifestCountsTrials(t *testing.T) {
 	reg := obs.NewRegistry()
-	opts := Options{Trials: 2, Metrics: reg, NoProgress: true}
+	opts := Options{Trials: 2, Metrics: reg}
 	prog := NewProgress(nil)
 	opts.Progress = prog
 	prog.Start("fig2", PlannedTrials("fig2", opts))

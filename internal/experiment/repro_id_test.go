@@ -23,7 +23,7 @@ func TestLookupStampsExperimentOnViolations(t *testing.T) {
 	if !ok {
 		t.Fatal("table2 not registered")
 	}
-	if _, err := runner(Options{Trials: 4, BaseSeed: 50, Workers: 2, Check: rec, NoProgress: true}); err != nil {
+	if _, err := runner(Options{Trials: 4, BaseSeed: 50, Workers: 2, Check: rec}); err != nil {
 		t.Fatal(err)
 	}
 	vs := rec.Violations()
@@ -48,7 +48,7 @@ func TestLookupStampsExperimentOnQuarantine(t *testing.T) {
 	q.SetRepro(func(f TrialFailure) string { return "h2bench " + f.Experiment })
 	runner, _ := Lookup("fig3")
 	_, err := runner(Options{
-		Trials: 1, Workers: 1, Quarantine: q, SuperviseLog: io.Discard, NoProgress: true,
+		Trials: 1, Workers: 1, Quarantine: q, SuperviseLog: io.Discard,
 		ChaosTrial: func(flat int) core.ChaosMode {
 			if flat == 0 {
 				return core.ChaosPanic

@@ -23,10 +23,9 @@ import (
 //
 //   1. isolates panics: recover() converts a panicking trial into a
 //      structured TrialFailure instead of tearing down the whole sweep;
-//   2. enforces watchdogs: a virtual-time step budget (Options.StepBudget
-//      → simtime.BudgetError, deterministic) and an optional wall-clock
-//      deadline (Options.TrialDeadline → simtime.DeadlineError,
-//      best-effort) kill wedged simulations loudly instead of hanging;
+//   2. enforces a watchdog: a virtual-time step budget
+//      (Options.StepBudget → simtime.BudgetError, deterministic) kills
+//      wedged simulations loudly instead of hanging;
 //   3. retries failed trials up to Options.MaxRetries times with
 //      escalating backoff (each attempt on fresh per-trial state — new
 //      scheduler, RNG, checker, analyzer — so a deterministic failure
@@ -336,8 +335,8 @@ func (o Options) retryBackoff(attempt int) error {
 }
 
 // attemptTrial executes one attempt with panic isolation. A recovered
-// panic is classified — watchdog trips (simtime.BudgetError /
-// DeadlineError) as FailTimeout, everything else as FailPanic — and the
+// panic is classified — step-budget trips (simtime.BudgetError) as
+// FailTimeout, everything else as FailPanic — and the
 // attempt's checker is abandoned so violations recorded before the
 // failure still reach the shared recorder (without the end-of-trial
 // conservation checks, which would fire spuriously on mid-flight state).
@@ -354,9 +353,9 @@ func (o Options) attemptTrial(cfg core.TrialConfig, flat, attempt int) (res *cor
 		cfg.Check.Abandon()
 		kind := FailPanic
 		switch r.(type) {
-		case *simtime.BudgetError, *simtime.DeadlineError:
+		case *simtime.BudgetError:
 			kind = FailTimeout
-			o.countFailure(mfTimedout, "Trial attempts killed by a watchdog (step budget or wall deadline).")
+			o.countFailure(mfTimedout, "Trial attempts killed by the step-budget watchdog.")
 		default:
 			o.countFailure(mfPanicked, "Trial attempts that panicked.")
 		}

@@ -207,16 +207,15 @@ func TestCleanSweepSupervisionInvisible(t *testing.T) {
 
 	q := NewQuarantine()
 	armed := Options{
-		BaseSeed:      40,
-		Workers:       4,
-		Metrics:       obs.NewRegistry(),
-		Ctx:           context.Background(),
-		StepBudget:    superviseStepBudget,
-		TrialDeadline: time.Minute,
-		MaxRetries:    2,
-		RetryBackoff:  time.Millisecond,
-		Quarantine:    q,
-		SuperviseLog:  io.Discard,
+		BaseSeed:     40,
+		Workers:      4,
+		Metrics:      obs.NewRegistry(),
+		Ctx:          context.Background(),
+		StepBudget:   superviseStepBudget,
+		MaxRetries:   2,
+		RetryBackoff: time.Millisecond,
+		Quarantine:   q,
+		SuperviseLog: io.Discard,
 	}
 	armedDigest, armedSnap := cleanSweep(t, armed)
 

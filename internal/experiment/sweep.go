@@ -204,9 +204,6 @@ func (o Options) sweep(n, arity int, cfgs func(t int) []core.TrialConfig) ([]*co
 			if cfg.StepBudget == 0 {
 				cfg.StepBudget = o.StepBudget
 			}
-			if cfg.WallDeadline == 0 {
-				cfg.WallDeadline = o.TrialDeadline
-			}
 			res, err := o.superviseTrial(flat, cfg)
 			o.Progress.Tick()
 			if err != nil {

@@ -240,9 +240,6 @@ func NewConn(isClient bool, cfg Config, ins instr.Bundle, out func([]byte)) (*Co
 // SetHandlers installs the application callbacks (before Start).
 func (c *Conn) SetHandlers(h Handlers) { c.handlers = h }
 
-// IsClient reports the endpoint role.
-func (c *Conn) IsClient() bool { return c.isClient }
-
 // Err returns the fatal connection error, or nil.
 func (c *Conn) Err() error { return c.failed }
 
@@ -251,12 +248,6 @@ func (c *Conn) Stats() ConnStats { return c.stats }
 
 // Stream returns the stream with the given id, or nil.
 func (c *Conn) Stream(id uint32) *Stream { return c.streams[id] }
-
-// OpenStreamCount reports currently open (non-closed) streams.
-func (c *Conn) OpenStreamCount() int { return len(c.streams) }
-
-// GoAwayReceived reports whether the peer sent GOAWAY.
-func (c *Conn) GoAwayReceived() bool { return c.goAwayReceived }
 
 // Start emits the connection preface: the client magic (clients only)
 // followed by our SETTINGS frame.

@@ -37,18 +37,6 @@ func NewDecoder(maxTableSize int) *Decoder {
 	}
 }
 
-// SetAllowedMaxTableSize raises/lowers the limit the peer may resize the
-// table to (mirrors sending SETTINGS_HEADER_TABLE_SIZE).
-func (d *Decoder) SetAllowedMaxTableSize(n int) {
-	if n < 0 {
-		n = 0
-	}
-	d.limit = n
-	if d.table.maxSize > n {
-		d.table.setMaxSize(n)
-	}
-}
-
 // Decode parses one complete header block.
 func (d *Decoder) Decode(block []byte) ([]HeaderField, error) {
 	return d.AppendDecode(nil, block)

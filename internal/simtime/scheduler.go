@@ -63,20 +63,17 @@ type Scheduler struct {
 	laneFree  *laneEntry // recycled lane entries, shared by every Lane
 	laneExtra int        // pending lane entries behind their lane's head
 
-	// Watchdog state (see SetStepBudget / SetWallDeadline / SetInterrupt).
-	// All three are off by default and cost one predictable branch per
-	// fired event when unarmed.
-	steps        uint64
-	stepBudget   uint64
-	wallDeadline time.Time
-	wallLimit    time.Duration
-	interrupt    func() bool
-	interrupted  bool
+	// Watchdog state (see SetStepBudget / SetInterrupt). Both are off by
+	// default and cost one predictable branch per fired event when
+	// unarmed.
+	steps       uint64
+	stepBudget  uint64
+	interrupt   func() bool
+	interrupted bool
 }
 
-// pollEvery is how often (in fired events) the wall-deadline and
-// interrupt hooks are polled. Both involve a host-clock read or an
-// atomic-ish load, so they are amortized; the step budget is exact.
+// pollEvery is how often (in fired events) the interrupt hook is polled.
+// It may load shared state, so it is amortized; the step budget is exact.
 const pollEvery = 1024
 
 // BudgetError is the panic value raised when a trial exceeds its step
@@ -93,22 +90,6 @@ func (e *BudgetError) Error() string {
 	return fmt.Sprintf("simtime: step budget exceeded: %d events fired, virtual time %v", e.Steps, e.Now)
 }
 
-// DeadlineError is the panic value raised when a trial exceeds its
-// wall-clock deadline — the nondeterministic backstop for simulations
-// wedged in ways the step budget cannot see (a pathological but finite
-// event storm that grinds for minutes). Trials killed this way are NOT
-// reproducible byte-for-byte across hosts; prefer the step budget where
-// determinism matters.
-type DeadlineError struct {
-	Limit time.Duration // the configured deadline
-	Steps uint64        // events fired when the deadline tripped
-	Now   time.Duration // virtual time at the trip
-}
-
-func (e *DeadlineError) Error() string {
-	return fmt.Sprintf("simtime: wall deadline %v exceeded: %d events fired, virtual time %v", e.Limit, e.Steps, e.Now)
-}
-
 // SetStepBudget arms the deterministic watchdog: once n events have
 // fired, the next Step panics with *BudgetError instead of running
 // forever. 0 (the default) disables. The budget counts fired events, not
@@ -117,20 +98,6 @@ func (s *Scheduler) SetStepBudget(n uint64) { s.stepBudget = n }
 
 // Steps reports how many events have fired so far.
 func (s *Scheduler) Steps() uint64 { return s.steps }
-
-// SetWallDeadline arms the wall-clock watchdog: once d of host time has
-// elapsed (measured from this call, polled every pollEvery events), Step
-// panics with *DeadlineError. 0 disables. Nondeterministic by nature —
-// see DeadlineError.
-func (s *Scheduler) SetWallDeadline(d time.Duration) {
-	if d <= 0 {
-		s.wallDeadline = time.Time{}
-		s.wallLimit = 0
-		return
-	}
-	s.wallDeadline = time.Now().Add(d)
-	s.wallLimit = d
-}
 
 // SetInterrupt installs a cooperative cancellation probe, polled every
 // pollEvery fired events: when fn reports true, the run loops stop
@@ -249,11 +216,10 @@ func (s *Scheduler) Cancel(ev *Event) {
 
 // Step runs the single earliest pending event, advancing the clock to its
 // time. It reports whether an event was run. With a step budget armed it
-// panics with *BudgetError once the budget is exhausted; with a wall
-// deadline armed it panics with *DeadlineError once host time runs out —
-// in both cases the error, not a hang, is the contract. Every watchdog
-// verdict is reached by peeking at the root, so a tripped Step leaves the
-// queue exactly as it found it for a recovering supervisor to inspect.
+// panics with *BudgetError once the budget is exhausted — the error, not
+// a hang, is the contract. The verdict is reached by peeking at the root,
+// so a tripped Step leaves the queue exactly as it found it for a
+// recovering supervisor to inspect.
 func (s *Scheduler) Step() bool {
 	q := &s.queue
 	if s.interrupted || len(q.heap) == 0 {
@@ -263,14 +229,9 @@ func (s *Scheduler) Step() bool {
 		panic(&BudgetError{Steps: s.steps, Now: s.now})
 	}
 	s.steps++
-	if s.steps%pollEvery == 0 {
-		if s.interrupt != nil && s.interrupt() {
-			s.interrupted = true
-			return false
-		}
-		if !s.wallDeadline.IsZero() && time.Now().After(s.wallDeadline) {
-			panic(&DeadlineError{Limit: s.wallLimit, Steps: s.steps, Now: s.now})
-		}
+	if s.steps%pollEvery == 0 && s.interrupt != nil && s.interrupt() {
+		s.interrupted = true
+		return false
 	}
 	ev := q.evs[q.heap[0].id]
 	s.now = ev.at

@@ -489,28 +489,6 @@ func TestStepBudgetInvisibleUnderBudget(t *testing.T) {
 	}
 }
 
-// TestWallDeadlineTripsGrindingRun covers the nondeterministic backstop:
-// a run that keeps stepping past its wall deadline panics with
-// *DeadlineError at the next poll boundary.
-func TestWallDeadlineTripsGrindingRun(t *testing.T) {
-	s := NewScheduler()
-	s.SetWallDeadline(time.Nanosecond) // already expired by the first poll
-	var spin func()
-	spin = func() { s.After(time.Microsecond, spin) }
-	s.After(0, spin)
-	defer func() {
-		de, ok := recover().(*DeadlineError)
-		if !ok {
-			t.Fatalf("recovered %T, want *DeadlineError", de)
-		}
-		if de.Limit != time.Nanosecond {
-			t.Fatalf("DeadlineError.Limit = %v, want the configured 1ns", de.Limit)
-		}
-	}()
-	s.Run()
-	t.Fatal("Run returned despite an expired wall deadline")
-}
-
 // TestInterruptStopsRunCooperatively: the interrupt probe stops the run
 // loops at a poll boundary with events still queued, without panicking —
 // the cooperative-cancellation path a context wires into.
