@@ -43,8 +43,9 @@ import (
 // event rate.
 const DefaultStepBudget = 5_000_000
 
-// Harness is one command's instrument and supervision flag set and the
-// instruments armed from it.
+// Harness is one command's instrument and supervision flag set. Arm puts
+// the instruments it builds into the caller's experiment.Options, and
+// Finish reads them back from there.
 type Harness struct {
 	// Tool names the command in every receipt and error line.
 	Tool string
