@@ -53,6 +53,20 @@ func run() int {
 		flag.Usage()
 		return 2
 	}
+	if len(args) == 1 && args[0] == "all" {
+		args = experiment.IDs()
+	}
+	// Every id is checked before anything is armed or run, so a typo
+	// fails fast instead of after the experiments ahead of it.
+	runners := make([]experiment.Runner, len(args))
+	for i, id := range args {
+		runner, ok := experiment.Lookup(id)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "h2bench: unknown experiment %q (try -list)\n", id)
+			return 2
+		}
+		runners[i] = runner
+	}
 	// A manifest arms the sweep-wide metrics registry as a debug endpoint
 	// does: every trial accumulates into it and the manifest records its
 	// final snapshot.
@@ -98,30 +112,27 @@ func run() int {
 	if *manifestPath != "" {
 		manifest = experiment.NewManifest("h2bench", opts)
 	}
-	if len(args) == 1 && args[0] == "all" {
-		args = experiment.IDs()
-	}
+	// A failed experiment stops the run like an interrupt does, but still
+	// goes through Finish, so profiles stop, artifacts so far are written
+	// and the debug server is released; the exit code is then 1.
 	interrupted := false
-	for _, id := range args {
-		runner, ok := experiment.Lookup(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "h2bench: unknown experiment %q (try -list)\n", id)
-			return 2
-		}
+	var runErr error
+	for i, id := range args {
 		opts.Progress.Start(id, experiment.PlannedTrials(id, opts))
 		opts.Perf.BeginExperiment(id)
-		rep, err := runner(opts)
+		rep, err := runners[i](opts)
 		if err != nil {
+			opts.Progress.Done()
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				// Cooperative drain: stop starting experiments; Finish still
 				// flushes every artifact accumulated so far.
 				interrupted = true
-				opts.Progress.Done()
 				fmt.Fprintf(os.Stderr, "h2bench: interrupted during %s\n", id)
-				break
+			} else {
+				fmt.Fprintln(os.Stderr, "h2bench:", err)
+				runErr = err
 			}
-			fmt.Fprintln(os.Stderr, "h2bench:", err)
-			return 1
+			break
 		}
 		nTrials, wall := opts.Progress.Done()
 		manifest.Record(id, rep.Title, nTrials, len(rep.Rows), wall)
@@ -129,14 +140,15 @@ func run() int {
 			fmt.Printf("# %s\n", rep.ID)
 			if err := rep.RenderCSV(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, "h2bench:", err)
-				return 1
+				runErr = err
+				break
 			}
 			fmt.Println()
 		} else {
 			rep.Render(os.Stdout)
 		}
 	}
-	return h.Finish(interrupted, func() error {
+	code := h.Finish(interrupted, func() error {
 		if manifest == nil {
 			return nil
 		}
@@ -150,7 +162,11 @@ func run() int {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "h2bench: wrote run manifest (%d experiments%s) to %s\n",
-			len(manifest.Runs), map[bool]string{true: ", partial"}[interrupted], *manifestPath)
+			len(manifest.Runs), map[bool]string{true: ", partial"}[interrupted || runErr != nil], *manifestPath)
 		return nil
 	})
+	if runErr != nil {
+		return 1
+	}
+	return code
 }

@@ -57,6 +57,7 @@ var commandRuns = []commandRun{
 		stderr: true, manifest: "m.json"},
 	{args: []string{"h2bench", "-list"}, stderr: true},
 	{args: []string{"h2bench", "-trials", "2", "-quiet", "nosuchexperiment"}, stderr: true},
+	{args: []string{"h2bench", "-trials", "2", "-quiet", "fig3", "nosuchexperiment"}, stderr: true},
 }
 
 // buildCommands compiles h2attack, h2bench and h2serve into a temporary
