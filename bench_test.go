@@ -206,10 +206,8 @@ func BenchmarkSitePlan(b *testing.B) {
 func BenchmarkTraceOverhead(b *testing.B) {
 	b.Run("emit-disabled", func(b *testing.B) {
 		var tr *trace.Tracer
-		ct := tr.Counter(trace.LayerNetsim, "enqueue")
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ct.Inc()
 			if tr.Enabled() {
 				tr.Emit(trace.LayerNetsim, "enqueue",
 					trace.Num("id", int64(i)), trace.Num("size", 1500))
@@ -218,10 +216,8 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	})
 	b.Run("emit-enabled", func(b *testing.B) {
 		tr := trace.New(nil, trace.Config{})
-		ct := tr.Counter(trace.LayerNetsim, "enqueue")
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ct.Inc()
 			if tr.Enabled() {
 				tr.Emit(trace.LayerNetsim, "enqueue",
 					trace.Num("id", int64(i)), trace.Num("size", 1500))
@@ -368,18 +364,12 @@ func TestDisabledCheckZeroAllocs(t *testing.T) {
 }
 
 // TestDisabledTraceZeroAllocs pins the design contract: with tracing off
-// (nil tracer), the guarded emit pattern every component uses — nil-safe
-// counter/histogram calls plus an Enabled()-guarded Emit — allocates
-// nothing, so a trace-capable build benchmarks identically to one without
+// (nil tracer), the guarded emit pattern every component uses — an
+// Enabled()-guarded Emit — allocates nothing, so a trace-capable build benchmarks identically to one without
 // the subsystem.
 func TestDisabledTraceZeroAllocs(t *testing.T) {
 	var tr *trace.Tracer
-	ct := tr.Counter(trace.LayerTCP, "rto")
-	h := tr.Histo(trace.LayerTCP, "srtt_ms")
 	allocs := testing.AllocsPerRun(1000, func() {
-		ct.Inc()
-		h.Observe(12.5)
-		h.ObserveDuration(3 * time.Millisecond)
 		if tr.Enabled() {
 			tr.Emit(trace.LayerTCP, "rto",
 				trace.Str("conn", "client"), trace.Num("retries", 1),

@@ -20,6 +20,7 @@ import (
 	"h2privacy/internal/h2/h2sync"
 	"h2privacy/internal/instr"
 	"h2privacy/internal/obs"
+	"h2privacy/internal/trace"
 	"h2privacy/internal/website"
 )
 
@@ -65,7 +66,7 @@ func run(addr string, h *cliutil.Harness) (int, error) {
 	if ins.Features != nil {
 		fl = flowseq.New(0, ins.Features)
 		fl.Concurrent()
-		fl.SetClock(flowseq.WallClock())
+		fl.SetClock(trace.WallClock())
 		fl.SetFlow(addr)
 	}
 	// Graceful shutdown: the first SIGINT/SIGTERM closes the listener so

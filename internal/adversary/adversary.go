@@ -56,10 +56,7 @@ type Controller struct {
 
 	stats ControllerStats
 
-	tr         *trace.Tracer
-	ctDrops    *trace.Counter
-	ctDelayed  *trace.Counter
-	ctJittered *trace.Counter
+	tr *trace.Tracer
 
 	// First-class metrics (nil when no registry is armed; every method on
 	// a nil instrument is a free no-op). reg is kept for the attack driver.
@@ -94,9 +91,6 @@ func NewController(sched *simtime.Scheduler, rng *simtime.Rand, path *netsim.Pat
 		tr:         ins.Trace,
 		reg:        ins.Metrics,
 	}
-	c.ctDrops = c.tr.Counter(trace.LayerAdversary, "dropped")
-	c.ctDelayed = c.tr.Counter(trace.LayerAdversary, "delayed-gets")
-	c.ctJittered = c.tr.Counter(trace.LayerAdversary, "jittered")
 	c.mDrops = c.reg.Counter("h2privacy_adversary_drops_total",
 		"Packets dropped by the adversary's targeted-drop window.")
 	c.mDelayed = c.reg.Counter("h2privacy_adversary_delayed_gets_total",
@@ -232,7 +226,6 @@ func (c *Controller) Process(now time.Duration, pkt *netsim.Packet) netsim.Verdi
 				c.lastGETExtra = extra
 				v.ExtraDelay += extra
 				c.stats.DelayedGETs++
-				c.ctDelayed.Inc()
 				c.mDelayed.Inc()
 				c.stats.TotalGETDelay += extra
 				if c.tr.Enabled() {
@@ -253,7 +246,6 @@ func (c *Controller) Process(now time.Duration, pkt *netsim.Packet) netsim.Verdi
 			}
 			if c.rng.Bool(rate) {
 				c.stats.DroppedPkts++
-				c.ctDrops.Inc()
 				c.mDrops.Inc()
 				if c.tr.Enabled() {
 					rtx := int64(0)
@@ -271,7 +263,6 @@ func (c *Controller) Process(now time.Duration, pkt *netsim.Packet) netsim.Verdi
 	if max := c.randJitter[pkt.Dir]; max > 0 {
 		v.ExtraDelay += c.rng.Uniform(0, max)
 		c.stats.JitteredPkts++
-		c.ctJittered.Inc()
 		c.mJittered.Inc()
 	}
 	return v

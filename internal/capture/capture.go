@@ -134,9 +134,8 @@ type Monitor struct {
 	logPackets   bool
 	packets      []PacketRecord
 
-	tr    *trace.Tracer
-	ctGET *trace.Counter
-	fl    *flowseq.Analyzer
+	tr *trace.Tracer
+	fl *flowseq.Analyzer
 }
 
 var _ netsim.Tap = (*Monitor)(nil)
@@ -150,7 +149,6 @@ var _ netsim.Tap = (*Monitor)(nil)
 // exactly partition the appended bytes.
 func NewMonitor(ins instr.Bundle) *Monitor {
 	m := &Monitor{tr: ins.Trace, fl: ins.Flows}
-	m.ctGET = m.tr.Counter(trace.LayerMonitor, "gets")
 	m.streams[dirIndex(netsim.ClientToServer)].ck = ins.Check
 	m.streams[dirIndex(netsim.ClientToServer)].ckDir = check.DirC2S
 	m.streams[dirIndex(netsim.ServerToClient)].ck = ins.Check
@@ -255,7 +253,6 @@ func (m *Monitor) Observe(ev netsim.PacketEvent) {
 				rec.IsGET, rec.IsControl, rec.Tainted)
 		}
 		if rec.IsGET {
-			m.ctGET.Inc()
 			if m.tr.Enabled() {
 				m.tr.Emit(trace.LayerMonitor, "get",
 					trace.Num("count", int64(m.getCount)), trace.Num("wire_len", int64(rec.WireLen)))

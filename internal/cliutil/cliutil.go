@@ -135,8 +135,7 @@ func (h *Harness) Register(fs *flag.FlagSet) {
 //     /debug/trace serves its ring live, so scrapes race the simulation
 //     and the tracer takes its mutex path). An unknown -trace-format
 //     fails here, before a long run, not at export time;
-//   - a metrics registry with -debug-addr or ForceRegistry, mirroring the
-//     tracer's counters;
+//   - a metrics registry with -debug-addr or ForceRegistry;
 //   - a check recorder with -check;
 //   - a flowseq collector with -features, -features-out or -debug-addr
 //     (so /debug/flows serves live), published as the "features" expvar;
@@ -165,7 +164,6 @@ func (h *Harness) Arm(opts *experiment.Options) error {
 	}
 	if debug || h.ForceRegistry {
 		opts.Metrics = obs.NewRegistry()
-		obs.PublishTrace(opts.Metrics, opts.Trace)
 	}
 	if h.Check {
 		opts.Check = check.NewRecorder()

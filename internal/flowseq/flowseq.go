@@ -21,6 +21,8 @@ package flowseq
 import (
 	"sync"
 	"time"
+
+	"h2privacy/internal/trace"
 )
 
 // SchemaVersion identifies the feature-row schema carried by the JSONL
@@ -61,32 +63,13 @@ const (
 	flagEndStream = 0x1
 )
 
-// Clock is the timestamp source, identical in shape to trace.Clock so a
-// trial's scheduler satisfies both.
-type Clock interface {
-	Now() time.Duration
-}
-
-// ClockFunc adapts a function to a Clock.
-type ClockFunc func() time.Duration
-
-// Now implements Clock.
-func (f ClockFunc) Now() time.Duration { return f() }
-
-// WallClock returns a Clock stamping wall time relative to the call — for
-// the real-TCP tools (h2serve), where there is no virtual scheduler.
-func WallClock() Clock {
-	start := time.Now()
-	return ClockFunc(func() time.Duration { return time.Since(start) })
-}
-
 // Analyzer observes one flow. The nil Analyzer is the disabled analyzer:
 // Enabled reports false and every hook is a nil-receiver no-op. Within a
 // simulated trial all feeds run on the scheduler goroutine; the real-TCP
 // server arms Concurrent to guard the hooks with a mutex.
 type Analyzer struct {
 	mu    *sync.Mutex // non-nil only after Concurrent
-	clock Clock
+	clock trace.Clock
 	col   *Collector
 	trial int
 	flow  string
@@ -177,8 +160,9 @@ func (a *Analyzer) Concurrent() {
 }
 
 // SetClock rebinds the timestamp source — core.NewTestbed points it at the
-// trial's virtual clock, as it does the tracer's. No-op on nil.
-func (a *Analyzer) SetClock(c Clock) {
+// trial's virtual clock, as it does the tracer's, and the real-TCP server
+// at trace.WallClock. No-op on nil.
+func (a *Analyzer) SetClock(c trace.Clock) {
 	if a == nil || c == nil {
 		return
 	}

@@ -9,6 +9,7 @@ import (
 
 	"h2privacy/internal/flowseq"
 	"h2privacy/internal/obs"
+	"h2privacy/internal/trace"
 )
 
 // testClock is a hand-advanced Clock for deterministic feeds.
@@ -23,7 +24,7 @@ func TestNilAnalyzerNoOps(t *testing.T) {
 	}
 	// Every hook must be callable on nil without panicking.
 	a.Concurrent()
-	a.SetClock(flowseq.WallClock())
+	a.SetClock(trace.WallClock())
 	a.SetFlow("x")
 	a.Record(true, 100, 91, true, false, false)
 	a.H2Frame(true, true, 0x0, 1, 100, 0)
@@ -414,7 +415,7 @@ func TestConcurrentFeed(t *testing.T) {
 	col.PublishTo(obs.NewRegistry())
 	a := flowseq.New(0, col)
 	a.Concurrent()
-	a.SetClock(flowseq.WallClock())
+	a.SetClock(trace.WallClock())
 	a.SetFlow("live")
 
 	var wg sync.WaitGroup

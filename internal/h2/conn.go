@@ -164,7 +164,6 @@ type Conn struct {
 
 	tr        *trace.Tracer
 	traceName string
-	ctStall   *trace.Counter
 
 	ck *check.Checker // nil unless invariant checks are armed
 
@@ -230,9 +229,6 @@ func NewConn(isClient bool, cfg Config, ins instr.Bundle, out func([]byte)) (*Co
 		}
 	}
 	c.tr, c.ck, c.fl = ins.Trace, ins.Check, ins.Flows
-	if c.tr.Enabled() {
-		c.ctStall = c.tr.Counter(trace.LayerH2, c.traceName+".fc-stall")
-	}
 	c.ck.H2Register(c.traceName, isClient, cfg.InitialWindowSize)
 	return c, nil
 }

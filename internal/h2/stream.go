@@ -143,7 +143,6 @@ func (s *Stream) SendData(p []byte, endStream bool) (int, error) {
 		if chunk <= 0 {
 			// Flow control has pinched off the stream: the sender has data
 			// but neither window admits another byte.
-			s.conn.ctStall.Inc()
 			if c := s.conn; c.tr.Enabled() {
 				c.tr.Emit(trace.LayerH2, "fc-stall",
 					trace.Str("ep", c.traceName), trace.Num("stream", int64(s.id)),

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 )
 
@@ -240,9 +239,6 @@ type Sample struct {
 // Add appends an observation.
 func (s *Sample) Add(v float64) { s.values = append(s.values, v) }
 
-// N reports the observation count.
-func (s *Sample) N() int { return len(s.values) }
-
 // Mean reports the arithmetic mean (0 for an empty sample).
 func (s *Sample) Mean() float64 {
 	if len(s.values) == 0 {
@@ -253,105 +249,6 @@ func (s *Sample) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(s.values))
-}
-
-// StdDev reports the sample standard deviation.
-func (s *Sample) StdDev() float64 {
-	n := len(s.values)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, v := range s.values {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
-
-// Min reports the smallest observation (0 for an empty sample).
-func (s *Sample) Min() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	min := s.values[0]
-	for _, v := range s.values[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	return min
-}
-
-// Max reports the largest observation (0 for an empty sample).
-func (s *Sample) Max() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	max := s.values[0]
-	for _, v := range s.values[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// Summary is the compact five-number description of a sample that the
-// experiment tables and the trace text exporter share.
-type Summary struct {
-	N                        int
-	Min, P50, P90, Max, Mean float64
-}
-
-// Summary computes the five-number summary in one pass over a single
-// sorted copy (cheaper than five separate Percentile calls).
-func (s *Sample) Summary() Summary {
-	n := len(s.values)
-	if n == 0 {
-		return Summary{}
-	}
-	sorted := append([]float64(nil), s.values...)
-	sort.Float64s(sorted)
-	return Summary{
-		N:    n,
-		Min:  sorted[0],
-		P50:  nearestRank(sorted, 50),
-		P90:  nearestRank(sorted, 90),
-		Max:  sorted[n-1],
-		Mean: s.Mean(),
-	}
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d min=%.3g p50=%.3g p90=%.3g max=%.3g mean=%.3g",
-		s.N, s.Min, s.P50, s.P90, s.Max, s.Mean)
-}
-
-// nearestRank returns the p-th percentile of an already-sorted slice by
-// the nearest-rank method: the smallest value whose rank is at least
-// ⌈p/100·n⌉. p ≤ 0 yields the minimum, p ≥ 100 the maximum.
-func nearestRank(sorted []float64, p float64) float64 {
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}
-
-// Percentile returns the p-th percentile (0–100) by nearest-rank.
-func (s *Sample) Percentile(p float64) float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), s.values...)
-	sort.Float64s(sorted)
-	return nearestRank(sorted, p)
 }
 
 // Counter tallies boolean outcomes across trials.
@@ -378,12 +275,4 @@ func (c *Counter) Percent() float64 {
 // String renders "hits/total (pct%)".
 func (c *Counter) String() string {
 	return fmt.Sprintf("%d/%d (%.0f%%)", c.Hits, c.Total, c.Percent())
-}
-
-// PercentChange reports (new-base)/base as a percentage; 0 when base is 0.
-func PercentChange(base, new float64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return 100 * (new - base) / base
 }

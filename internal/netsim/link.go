@@ -102,11 +102,7 @@ type Link struct {
 	propExtra time.Duration // RTT step: added to PropDelay for new packets
 
 	tr           *trace.Tracer
-	maxDelivered uint64 // highest packet ID delivered, for reorder detection
-	ctEnqueue    *trace.Counter
-	ctDequeue    *trace.Counter
-	ctDrop       *trace.Counter
-	ctReorder    *trace.Counter
+	maxDelivered uint64 // highest packet ID delivered, for the traced reorder events
 
 	ck    *check.Checker // nil unless invariant checks are armed
 	ckDir uint8          // check.DirC2S / check.DirS2C, resolved once
@@ -150,15 +146,6 @@ func NewLink(sched *simtime.Scheduler, rng *simtime.Rand, dir Direction, cfg Lin
 	l := &Link{sched: sched, rng: rng, dir: dir, cfg: cfg, nextID: nextID, tr: ins.Trace, ck: ins.Check, ckDir: check.DirC2S}
 	if dir == ServerToClient {
 		l.ckDir = check.DirS2C
-	}
-	if l.tr.Enabled() {
-		// Counters are registered here, once, so the Send path only
-		// touches pre-resolved instruments.
-		prefix := dir.String() + "."
-		l.ctEnqueue = l.tr.Counter(trace.LayerNetsim, prefix+"enqueue")
-		l.ctDequeue = l.tr.Counter(trace.LayerNetsim, prefix+"dequeue")
-		l.ctDrop = l.tr.Counter(trace.LayerNetsim, prefix+"drop")
-		l.ctReorder = l.tr.Counter(trace.LayerNetsim, prefix+"reorder")
 	}
 	l.txLane.Init(sched, l.onTxDone)
 	l.dlvLane.Init(sched, l.onDeliver)
@@ -248,7 +235,6 @@ func (l *Link) Send(size int, payload any) {
 	*l.nextID++
 	l.stats.Sent++
 	l.ck.LinkOffered(l.ckDir, size)
-	l.ctEnqueue.Inc()
 	if l.tr.Enabled() {
 		l.tr.Emit(trace.LayerNetsim, "enqueue",
 			trace.Str("dir", l.dir.String()), trace.Num("id", int64(pkt.ID)), trace.Num("size", int64(size)))
@@ -414,7 +400,6 @@ func (l *Link) naturalJitter() time.Duration {
 }
 
 func (l *Link) traceDrop(pkt *Packet, reason string) {
-	l.ctDrop.Inc()
 	if l.tr.Enabled() {
 		l.tr.Emit(trace.LayerNetsim, "drop",
 			trace.Str("dir", l.dir.String()), trace.Num("id", int64(pkt.ID)),
@@ -426,20 +411,16 @@ func (l *Link) traceDrop(pkt *Packet, reason string) {
 // delivered ID below the link's high-water mark means differential delay
 // reordered the stream (the adversary's jitter knob doing its job).
 func (l *Link) traceDequeue(pkt *Packet) {
-	l.ctDequeue.Inc()
-	reordered := pkt.ID < l.maxDelivered
-	if reordered {
-		l.ctReorder.Inc()
+	if !l.tr.Enabled() {
+		return
+	}
+	l.tr.Emit(trace.LayerNetsim, "dequeue",
+		trace.Str("dir", l.dir.String()), trace.Num("id", int64(pkt.ID)), trace.Num("size", int64(pkt.Size)))
+	if pkt.ID < l.maxDelivered {
+		l.tr.Emit(trace.LayerNetsim, "reorder",
+			trace.Str("dir", l.dir.String()), trace.Num("id", int64(pkt.ID)), trace.Num("behind", int64(l.maxDelivered-pkt.ID)))
 	} else {
 		l.maxDelivered = pkt.ID
-	}
-	if l.tr.Enabled() {
-		l.tr.Emit(trace.LayerNetsim, "dequeue",
-			trace.Str("dir", l.dir.String()), trace.Num("id", int64(pkt.ID)), trace.Num("size", int64(pkt.Size)))
-		if reordered {
-			l.tr.Emit(trace.LayerNetsim, "reorder",
-				trace.Str("dir", l.dir.String()), trace.Num("id", int64(pkt.ID)), trace.Num("behind", int64(l.maxDelivered-pkt.ID)))
-		}
 	}
 }
 

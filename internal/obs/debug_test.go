@@ -27,17 +27,14 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string, http.Hea
 func TestDebugServerEndpoints(t *testing.T) {
 	reg := buildGoldenRegistry()
 	tr := trace.New(nil, trace.Config{})
-	tr.Counter(trace.LayerTCP, "client.rto").Add(3)
-	tr.Histo(trace.LayerTCP, "client.srtt_ms").Observe(12.5)
 	tr.Emit(trace.LayerAdversary, "phase", trace.Str("to", "throttle+drop"))
-	PublishTrace(reg, tr)
 
 	ds := &DebugServer{Registry: reg, Tracer: tr}
 	srv := httptest.NewServer(ds.Handler())
 	defer srv.Close()
 
-	// /metrics serves exposition text the golden parser accepts, and the
-	// bridge's mirrored trace counters appear in the same scrape.
+	// /metrics serves exposition text the golden parser accepts; the
+	// tracer's events are served by /debug/trace, not mirrored here.
 	code, body, hdr := get(t, srv, "/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics = %d", code)
@@ -48,15 +45,8 @@ func TestDebugServerEndpoints(t *testing.T) {
 	if _, err := LintExposition([]byte(body)); err != nil {
 		t.Fatalf("/metrics output rejected by golden parser: %v\n%s", err, body)
 	}
-	for _, want := range []string{
-		`h2privacy_trace_counter_total{layer="tcpsim",name="client.rto"} 3`,
-		`h2privacy_trace_histo{layer="tcpsim",name="client.srtt_ms",stat="p50"} 12.5`,
-		"h2privacy_trace_events 1",
-		"h2privacy_trials_total 100",
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("/metrics missing %q:\n%s", want, body)
-		}
+	if !strings.Contains(body, "h2privacy_trials_total 100") || strings.Contains(body, "h2privacy_trace") {
+		t.Fatalf("/metrics must carry the registry's families and nothing of the tracer:\n%s", body)
 	}
 
 	// JSON variant.
@@ -88,7 +78,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 	}
 
 	// Trace ring download, all three formats plus a bad one.
-	if code, body, _ = get(t, srv, "/debug/trace"); code != 200 || !strings.Contains(body, "events retained") {
+	if code, body, _ = get(t, srv, "/debug/trace"); code != 200 || !strings.HasPrefix(body, "trace: 1 events retained") {
 		t.Fatalf("/debug/trace = %d %q", code, body)
 	}
 	if code, body, _ = get(t, srv, "/debug/trace?format=jsonl"); code != 200 || !strings.Contains(body, `"kind":"phase"`) {

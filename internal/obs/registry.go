@@ -78,9 +78,6 @@ const labelSep = "\xff"
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
-
-	collectMu  sync.Mutex
-	collectors []func()
 }
 
 // NewRegistry builds an empty registry.
@@ -259,18 +256,6 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 	return &HistogramVec{fam: r.register(name, help, KindHistogram, labels, buckets)}
 }
 
-// RegisterCollector adds a hook that runs before every Snapshot (and
-// therefore before every /metrics scrape): the trace bridge uses it to
-// copy live tracer counters into the registry. No-op on nil.
-func (r *Registry) RegisterCollector(fn func()) {
-	if r == nil || fn == nil {
-		return
-	}
-	r.collectMu.Lock()
-	r.collectors = append(r.collectors, fn)
-	r.collectMu.Unlock()
-}
-
 // Counter is a monotonically increasing integer. The nil *Counter absorbs
 // updates at the cost of one branch.
 type Counter struct{ s *series }
@@ -295,14 +280,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.s.count.Load()
-}
-
-// set is the bridge's backdoor: trace counters are mirrored by value at
-// collect time, which is still monotonic because the source is.
-func (c *Counter) set(v int64) {
-	if c != nil {
-		c.s.count.Store(v)
-	}
 }
 
 // CounterVec hands out per-label-value counters.
@@ -445,8 +422,7 @@ type SeriesSnap struct {
 	BucketCounts []uint64 `json:"bucket_counts,omitempty"`
 }
 
-// Snapshot runs the registered collectors, then copies every family sorted
-// by name and every series sorted by label values. Nil-safe (empty
+// Snapshot copies every family sorted by name and every series sorted by label values. Nil-safe (empty
 // snapshot). Concurrent updates during the copy may be torn across
 // instruments (a histogram's _count can lead its buckets by in-flight
 // observations — never trail them) but each atomic read is itself consistent; quiesced
@@ -456,12 +432,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return snap
 	}
-	r.collectMu.Lock()
-	for _, fn := range r.collectors {
-		fn()
-	}
-	r.collectMu.Unlock()
-
 	r.mu.RLock()
 	fams := make([]*family, 0, len(r.families))
 	for _, f := range r.families {

@@ -80,11 +80,7 @@ type Conn struct {
 
 	stats Stats
 
-	tr        *trace.Tracer
-	ctRTO     *trace.Counter
-	ctFastRtx *trace.Counter
-	ctTLP     *trace.Counter
-	hSRTT     *trace.Histo
+	tr *trace.Tracer
 
 	ck *check.Checker // nil unless invariant checks are armed
 }
@@ -126,12 +122,6 @@ func NewConn(sched *simtime.Scheduler, cfg Config, ins instr.Bundle, name string
 	c.ptoTimer.Init(sched, c.onPTO)
 	c.rackTimer.Init(sched, c.onRack)
 	c.delAckTimer.Init(sched, c.onDelAck)
-	if c.tr.Enabled() {
-		c.ctRTO = c.tr.Counter(trace.LayerTCP, name+".rto")
-		c.ctFastRtx = c.tr.Counter(trace.LayerTCP, name+".fast-retransmit")
-		c.ctTLP = c.tr.Counter(trace.LayerTCP, name+".tlp")
-		c.hSRTT = c.tr.Histo(trace.LayerTCP, name+".srtt_ms")
-	}
 	c.ck.TCPRegister(name, iss)
 	return c, nil
 }

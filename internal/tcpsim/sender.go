@@ -267,7 +267,6 @@ func (c *Conn) fastRetransmit() {
 		c.ssthresh = min
 	}
 	c.stats.FastRetransmits++
-	c.ctFastRtx.Inc()
 	c.rttPending = false // Karn: retransmission poisons the sample
 	c.retransmitFirstUnacked()
 	c.cwnd = c.ssthresh + c.cfg.DupAckThreshold*c.cfg.MSS
@@ -310,7 +309,6 @@ func (c *Conn) onRTO() {
 	c.disarmPTO()
 	c.rackTimer.Stop()
 	c.stats.RTOExpiries++
-	c.ctRTO.Inc()
 	c.retries++
 	if c.tr.Enabled() {
 		c.tr.Emit(trace.LayerTCP, "rto",
@@ -365,7 +363,6 @@ func (c *Conn) sampleRTT(sample time.Duration) {
 		sample = time.Microsecond
 	}
 	if c.tr.Enabled() {
-		c.hSRTT.ObserveDuration(sample)
 		c.tr.Emit(trace.LayerTCP, "srtt",
 			trace.Str("conn", c.name), trace.Dur("sample", sample), trace.Dur("srtt", c.srtt))
 	}
@@ -430,7 +427,6 @@ func (c *Conn) onPTO() {
 		return
 	}
 	c.stats.TLPProbes++
-	c.ctTLP.Inc()
 	if c.tr.Enabled() {
 		c.tr.Emit(trace.LayerTCP, "tlp",
 			trace.Str("conn", c.name), trace.Num("flight", int64(c.sndNxt-c.sndUna)))

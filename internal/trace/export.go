@@ -13,7 +13,7 @@ import (
 const (
 	FormatChrome  = "chrome"  // Chrome trace_event JSON (chrome://tracing, Perfetto)
 	FormatJSONL   = "jsonl"   // one JSON object per event
-	FormatSummary = "summary" // compact text table: counts, counters, histograms
+	FormatSummary = "summary" // compact text table: event counts per layer and kind
 )
 
 // Formats lists the accepted export format names.
@@ -95,8 +95,8 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteSummary writes a compact text digest: event counts per (layer,
-// kind), counter values, and histogram five-number summaries.
+// WriteSummary writes a compact text digest: the retained and dropped
+// totals, then the event count per (layer, kind).
 func (t *Tracer) WriteSummary(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	events := t.Events()
@@ -124,18 +124,6 @@ func (t *Tracer) WriteSummary(w io.Writer) error {
 		fmt.Fprintf(bw, "\nevents by layer/kind:\n")
 		for _, k := range keys {
 			fmt.Fprintf(bw, "  %-10s %-22s %8d\n", k.layer, k.kind, counts[k])
-		}
-	}
-	if cs := t.Counters(); len(cs) > 0 {
-		fmt.Fprintf(bw, "\ncounters:\n")
-		for _, c := range cs {
-			fmt.Fprintf(bw, "  %-10s %-28s %10d\n", c.Layer(), c.Name(), c.Value())
-		}
-	}
-	if hs := t.Histos(); len(hs) > 0 {
-		fmt.Fprintf(bw, "\nhistograms:\n")
-		for _, h := range hs {
-			fmt.Fprintf(bw, "  %-10s %-28s %s\n", h.Layer(), h.Name(), h.Summary())
 		}
 	}
 	return bw.Flush()

@@ -1,15 +1,16 @@
 // Package trace is the cross-layer observability spine of the testbed: a
-// deterministic event tracer plus named counters and histograms that every
-// simulated component (netsim, tcpsim, h2, adversary, endpoints, monitor)
-// reports into when a trial is run with tracing armed.
+// deterministic event tracer that every simulated component (netsim,
+// tcpsim, h2, adversary, endpoints, monitor) reports into when a trial is
+// run with tracing armed. The event stream is the record: a per-kind count
+// is the number of events of that kind, and per-component totals live in
+// each layer's own Stats.
 //
 // Design constraints, in order:
 //
 //  1. Zero cost when disabled. A nil *Tracer is the disabled tracer: hot
 //     paths guard emission with Enabled() (one pointer test) and build
 //     attributes only inside the guard, so a traced-capable build runs the
-//     paper's benchmarks unchanged. Counter and Histo methods are nil-safe
-//     no-ops, so components keep unconditional Add/Observe calls.
+//     paper's benchmarks unchanged.
 //  2. Determinism. Events are stamped from the trial's virtual clock and a
 //     monotonic sequence number assigned in emission order; the simulation
 //     is single-threaded, so two runs with the same seed produce
@@ -21,15 +22,12 @@
 //
 // Exporters (see export.go) serialize the stream as JSONL, as Chrome
 // trace_event JSON (loadable in chrome://tracing or Perfetto), or as a
-// compact text summary built on metrics.Summary.
+// compact text summary of event counts per layer and kind.
 package trace
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"h2privacy/internal/metrics"
 )
 
 // Clock supplies event timestamps. *simtime.Scheduler satisfies it; real-
@@ -137,7 +135,7 @@ type Config struct {
 	// Capacity bounds the event ring buffer. Default 1 << 18 (262144
 	// events); older events are overwritten past that.
 	Capacity int
-	// Concurrent guards Emit and Histo.Observe with a mutex for use from
+	// Concurrent guards the tracer with a mutex for use from
 	// multiple goroutines (the real-TCP h2sync stack). Simulation trials
 	// are single-threaded and leave it off; a concurrent trace has no
 	// deterministic event order.
@@ -147,9 +145,8 @@ type Config struct {
 // DefaultCapacity is the default ring-buffer bound.
 const DefaultCapacity = 1 << 18
 
-// Tracer collects events, counters and histograms for one trial. The nil
-// *Tracer is the disabled tracer: Enabled reports false, Emit is a no-op,
-// and Counter/Histo return nil-safe no-op instruments.
+// Tracer collects the events of one trial. The nil *Tracer is the
+// disabled tracer: Enabled reports false and Emit is a no-op.
 type Tracer struct {
 	clock    Clock
 	capacity int
@@ -160,9 +157,7 @@ type Tracer struct {
 	seq     uint64
 	dropped uint64
 
-	counters []*Counter
-	histos   []*Histo
-	metas    []metaKV // trace-wide metadata, exported by WriteChromeTrace
+	metas []metaKV // trace-wide metadata, exported by WriteChromeTrace
 }
 
 // metaKV is one trace-wide metadata pair (e.g. the canonical flow ID).
@@ -294,155 +289,4 @@ func (t *Tracer) Dropped() uint64 {
 		return 0
 	}
 	return t.dropped
-}
-
-// Counter returns the named counter for the layer, registering it on first
-// use. Registration order is the export order, so register at component
-// construction, not in hot paths. On a nil tracer it returns nil, whose
-// methods are no-ops.
-func (t *Tracer) Counter(layer Layer, name string) *Counter {
-	if t == nil {
-		return nil
-	}
-	for _, c := range t.counters {
-		if c.layer == layer && c.name == name {
-			return c
-		}
-	}
-	c := &Counter{layer: layer, name: name}
-	t.counters = append(t.counters, c)
-	return c
-}
-
-// Counters returns all registered counters in registration order.
-func (t *Tracer) Counters() []*Counter {
-	if t == nil {
-		return nil
-	}
-	return t.counters
-}
-
-// Histo returns the named histogram for the layer, registering it on first
-// use. On a nil tracer it returns nil, whose methods are no-ops.
-func (t *Tracer) Histo(layer Layer, name string) *Histo {
-	if t == nil {
-		return nil
-	}
-	for _, h := range t.histos {
-		if h.layer == layer && h.name == name {
-			return h
-		}
-	}
-	h := &Histo{layer: layer, name: name, mu: t.mu}
-	t.histos = append(t.histos, h)
-	return h
-}
-
-// Histos returns all registered histograms in registration order.
-func (t *Tracer) Histos() []*Histo {
-	if t == nil {
-		return nil
-	}
-	return t.histos
-}
-
-// Counter is a named monotonic tally. The nil *Counter (from a disabled
-// tracer) absorbs Add/Inc without allocating.
-type Counter struct {
-	layer Layer
-	name  string
-	v     atomic.Int64
-}
-
-// Layer reports the owning layer ("" semantics do not apply; zero value is
-// LayerNetsim only on a registered counter).
-func (c *Counter) Layer() Layer {
-	if c == nil {
-		return 0
-	}
-	return c.layer
-}
-
-// Name reports the counter name, or "" on nil.
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
-// Add increments the counter by n. No-op on nil.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Inc increments the counter by one. No-op on nil.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value reports the current tally (0 on nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Histo accumulates scalar observations (latencies in milliseconds, sizes
-// in bytes) summarized by metrics.Summary at export. The nil *Histo
-// absorbs Observe.
-type Histo struct {
-	layer Layer
-	name  string
-	mu    *sync.Mutex
-	s     metrics.Sample
-}
-
-// Layer reports the owning layer.
-func (h *Histo) Layer() Layer {
-	if h == nil {
-		return 0
-	}
-	return h.layer
-}
-
-// Name reports the histogram name, or "" on nil.
-func (h *Histo) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}
-
-// Observe records one value. No-op on nil.
-func (h *Histo) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	if h.mu != nil {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-	}
-	h.s.Add(v)
-}
-
-// ObserveDuration records a duration in milliseconds.
-func (h *Histo) ObserveDuration(d time.Duration) {
-	if h == nil {
-		return
-	}
-	h.Observe(float64(d) / float64(time.Millisecond))
-}
-
-// Summary reports the five-number summary of the observations.
-func (h *Histo) Summary() metrics.Summary {
-	if h == nil {
-		return metrics.Summary{}
-	}
-	if h.mu != nil {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-	}
-	return h.s.Summary()
 }

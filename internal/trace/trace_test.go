@@ -21,17 +21,9 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer retained state")
 	}
-	c := tr.Counter(LayerNetsim, "sent")
-	c.Add(5)
-	c.Inc()
-	if c.Value() != 0 || c.Name() != "" {
-		t.Fatal("nil counter not a no-op")
-	}
-	h := tr.Histo(LayerTCP, "srtt")
-	h.Observe(3)
-	h.ObserveDuration(time.Second)
-	if s := h.Summary(); s.N != 0 {
-		t.Fatal("nil histo not a no-op")
+	tr.SetMeta("flow", "f")
+	if tr.Metas() != nil {
+		t.Fatal("nil tracer kept metadata")
 	}
 }
 
@@ -83,36 +75,10 @@ func TestAttrOverflowTruncated(t *testing.T) {
 	}
 }
 
-func TestCounterAndHistoRegistration(t *testing.T) {
-	tr := New(&fakeClock{}, Config{})
-	a := tr.Counter(LayerNetsim, "sent")
-	b := tr.Counter(LayerNetsim, "sent")
-	if a != b {
-		t.Fatal("re-registration returned a different counter")
-	}
-	tr.Counter(LayerTCP, "rto")
-	a.Add(3)
-	if got := tr.Counters(); len(got) != 2 || got[0].Value() != 3 || got[1].Name() != "rto" {
-		t.Fatalf("counters = %+v", got)
-	}
-	h1 := tr.Histo(LayerTCP, "srtt")
-	h2 := tr.Histo(LayerTCP, "srtt")
-	if h1 != h2 {
-		t.Fatal("re-registration returned a different histo")
-	}
-	h1.Observe(1)
-	h1.Observe(3)
-	if s := h1.Summary(); s.N != 2 || s.Min != 1 || s.Max != 3 || s.Mean != 2 {
-		t.Fatalf("summary = %+v", s)
-	}
-}
-
 // buildTrace produces the same small trace twice for determinism checks.
 func buildTrace() *Tracer {
 	clk := &fakeClock{}
 	tr := New(clk, Config{})
-	tr.Counter(LayerNetsim, "c2s.sent").Add(7)
-	tr.Histo(LayerTCP, "client.srtt_ms").Observe(16.5)
 	clk.now = 1234567 * time.Nanosecond
 	tr.Emit(LayerNetsim, "enqueue", Str("dir", "c->s"), Num("size", 52))
 	clk.now = 2 * time.Millisecond
@@ -180,11 +146,15 @@ func TestSummaryContents(t *testing.T) {
 	if err := buildTrace().WriteSummary(&out); err != nil {
 		t.Fatal(err)
 	}
-	s := out.String()
-	for _, want := range []string{"3 events retained", "c2s.sent", "client.srtt_ms", "n=1"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("summary missing %q:\n%s", want, s)
-		}
+	want := `trace: 3 events retained, 0 dropped (ring capacity)
+
+events by layer/kind:
+  netsim     enqueue                       1
+  h2         send                          1
+  adversary  phase                         1
+`
+	if got := out.String(); got != want {
+		t.Fatalf("summary:\n%s\nwant:\n%s", got, want)
 	}
 }
 
