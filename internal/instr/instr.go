@@ -17,7 +17,7 @@ import (
 // nil-receiver no-ops that cost nothing, so the zero Bundle runs a layer
 // uninstrumented.
 type Bundle struct {
-	// Trace receives per-layer events, counters and histograms.
+	// Trace receives per-layer events.
 	Trace *trace.Tracer
 	// Check arms the runtime invariant checkers: link packet conservation,
 	// TCP sequence space, HTTP/2 stream and flow-control legality, HPACK
