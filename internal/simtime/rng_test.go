@@ -3,6 +3,7 @@ package simtime
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -29,6 +30,13 @@ func rngTestSeeds() []int64 {
 		seeds = append(seeds, v)
 	}
 	return seeds
+}
+
+// newSource returns a source seeded as rand.NewSource(seed) is.
+func newSource(seed int64) *rngSource {
+	var rng rngSource
+	rng.Seed(seed)
+	return &rng
 }
 
 // TestRngSourceMatchesStdlib pins the in-package source to math/rand's:
@@ -120,11 +128,86 @@ func TestRandMatchesStdlibDraws(t *testing.T) {
 	}
 }
 
+// TestRngSourceDrawBoundaries starts a fresh source at each point
+// where the on-demand register changes hands (the last computed draw,
+// the fill, the first wrap of tap and feed) and checks that the next 16
+// draws still match math/rand's.
+func TestRngSourceDrawBoundaries(t *testing.T) {
+	for _, seed := range rngTestSeeds() {
+		for _, skip := range []int{0, 1, 272, 273, 274, 334, 335, 606, 607, 608} {
+			got, want := newSource(seed), rand.NewSource(seed).(rand.Source64)
+			for i := 0; i < skip; i++ {
+				got.Uint64()
+				want.Uint64()
+			}
+			for i := 0; i < 16; i++ {
+				if g, w := got.Uint64(), want.Uint64(); g != w {
+					t.Fatalf("seed %d, after %d draws: draw %d = %d, math/rand gives %d", seed, skip, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestRandRegisterBuiltOnDemand pins the memory the on-demand register
+// saves: a fork drawn up to rngTap times makes NewRand's two
+// allocations and nothing else, and draw rngTap+1 adds exactly one, the
+// register itself.
+func TestRandRegisterBuiltOnDemand(t *testing.T) {
+	draw := func(n int) func() {
+		return func() {
+			r := NewRand(42)
+			for i := 0; i < n; i++ {
+				r.Int63()
+			}
+			randSink = r
+		}
+	}
+	if a := testing.AllocsPerRun(100, draw(rngTap)); a != 2 {
+		t.Fatalf("NewRand + %d draws allocates %.0f times, want 2", rngTap, a)
+	}
+	if a := testing.AllocsPerRun(100, draw(rngTap+1)); a != 3 {
+		t.Fatalf("NewRand + %d draws allocates %.0f times, want 3", rngTap+1, a)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		draw(rngTap)()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 8*rngLen {
+		t.Fatalf("NewRand + %d draws allocates %d bytes, want less than one %d-byte register", rngTap, per, 8*rngLen)
+	}
+}
+
+// randSink keeps benchmark and test results live so the compiler
+// cannot elide the NewRand call under measurement.
+var randSink *Rand
+
 // BenchmarkNewRand measures forking a generator: every trial forks one
 // per component, and the N=1000 fleet forks about 8000.
 func BenchmarkNewRand(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = NewRand(int64(i))
+		randSink = NewRand(int64(i))
 	}
 }
+
+// BenchmarkRandFirstDraws measures a fork together with the 64 draws a
+// fleet flow's p90 component takes, since the on-demand register moves
+// seeding cost from NewRand into the first draws.
+func BenchmarkRandFirstDraws(b *testing.B) {
+	b.ReportAllocs()
+	var sum float64
+	for i := 0; i < b.N; i++ {
+		r := NewRand(int64(i))
+		for j := 0; j < 64; j++ {
+			sum += r.Float64()
+		}
+		randSink = r
+	}
+	floatSink = sum
+}
+
+var floatSink float64

@@ -72,7 +72,7 @@ type Conn struct {
 
 	// Trial-scoped recycling (nil without Config.Pool): segs free-lists
 	// outgoing Segment structs (shared with the peer via NewPair), arena
-	// rents payload and out-of-order buffers. Both are nil-safe.
+	// rents payload, out-of-order and send buffers. Both are nil-safe.
 	segs  *segPool
 	arena *pool.Arena
 
@@ -197,18 +197,45 @@ func (c *Conn) Write(p []byte) error {
 	if c.finQueued {
 		return fmt.Errorf("tcpsim: %s: write after CloseSend", c.name)
 	}
-	// Reclaim the acked prefix before appending. Acks advance sendOff
-	// rather than reslicing forward, which would strand the consumed
-	// capacity and force a fresh backing array every time the tail fills;
-	// compacting only when the tail is full keeps the copy rare.
-	if c.sendOff > 0 && len(c.sendBuf)+len(p) > cap(c.sendBuf) {
-		n := copy(c.sendBuf, c.sendBuf[c.sendOff:])
-		c.sendBuf = c.sendBuf[:n]
-		c.sendOff = 0
+	if len(c.sendBuf)+len(p) > cap(c.sendBuf) {
+		c.makeSendRoom(len(p))
 	}
 	c.sendBuf = append(c.sendBuf, p...)
 	c.trySend()
 	return nil
+}
+
+// makeSendRoom makes sendBuf's capacity hold n more bytes behind the
+// unacked tail. Acks advance sendOff rather than reslicing forward, which
+// would strand the consumed capacity; when the tail fits, the acked
+// prefix is reclaimed in place. Otherwise the tail moves to a buffer
+// rented from the arena at no less than double the capacity, so growth
+// stays geometric with or without an arena, and the old buffer goes
+// back.
+func (c *Conn) makeSendRoom(n int) {
+	old, live := c.sendBuf, c.sendBuf[c.sendOff:]
+	if need := len(live) + n; need > cap(old) {
+		buf := c.arena.Bytes(max(need, 2*cap(old)))
+		c.sendBuf = buf[:copy(buf, live)]
+		c.arena.Put(old)
+	} else {
+		c.sendBuf = old[:copy(old, live)]
+	}
+	c.sendOff = 0
+}
+
+// retireSendBuf empties the send buffer once every byte in it is acked.
+// With an arena the buffer goes back to it, so a fleet's idle conns hold
+// none and the busy ones share a few per worker; without one the conn
+// keeps it for its next Write.
+func (c *Conn) retireSendBuf() {
+	if c.arena != nil {
+		c.arena.Put(c.sendBuf)
+		c.sendBuf = nil
+	} else {
+		c.sendBuf = c.sendBuf[:0]
+	}
+	c.sendOff = 0
 }
 
 // CloseSend queues an orderly close: a FIN is sent once all buffered data

@@ -2,6 +2,9 @@ package tcpsim
 
 import (
 	"bytes"
+	"math/bits"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -495,5 +498,85 @@ func TestSteadyWriteAckRearmsTimersWithoutAllocating(t *testing.T) {
 	}
 	if c.stats.TLPProbes != 0 || c.stats.RTOExpiries != 0 {
 		t.Fatalf("timers fired during a lossless cycle: %+v", c.stats)
+	}
+}
+
+// TestWarmArenaSendBufferFreeAcrossPairs carries a 22 KB response, the
+// size of a fleet decoy page, over a fresh pair per response, as a fleet
+// worker does over one arena. Once the arena is warm, a pair's send
+// buffer is rented and returned rather than allocated: the bytes a
+// whole pair allocates stay below the response size.
+func TestWarmArenaSendBufferFreeAcrossPairs(t *testing.T) {
+	arena := pool.New()
+	resp := bytes.Repeat([]byte("x"), 22<<10)
+	var last *testNet
+	transfer := func() {
+		n := newTestNet(t, fastLink(), Config{Pool: arena})
+		last = n
+		got := 0
+		n.pair.Client.OnData(func(p []byte) { got += len(p) })
+		n.pair.Open()
+		n.sched.After(0, func() {
+			for off := 0; off < len(resp); off += 1200 {
+				if err := n.pair.Server.Write(resp[off:min(off+1200, len(resp))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		n.sched.Run()
+		if got != len(resp) {
+			t.Fatalf("client got %d of %d bytes", got, len(resp))
+		}
+	}
+	for i := 0; i < 4; i++ {
+		transfer()
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		transfer()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= uint64(len(resp)) {
+		t.Fatalf("a warm-arena pair carrying %d bytes allocates %d bytes", len(resp), per)
+	}
+	if last.pair.Server.sendBuf != nil {
+		t.Fatal("a fully acked send buffer was kept, not returned to the arena")
+	}
+}
+
+// TestUnpooledSendBufferGrowsGeometrically writes 1 MiB in 1,200-byte
+// chunks to a conn with no arena that cannot send yet, so every byte
+// stays buffered. Growth must at least double each time: O(log n)
+// allocations, never one per chunk.
+func TestUnpooledSendBufferGrowsGeometrically(t *testing.T) {
+	chunk := make([]byte, 1200)
+	const total = 1 << 20
+	c, err := NewConn(simtime.NewScheduler(), Config{}, instr.Bundle{}, "server", 1000, func(*Segment) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A collection during the loop would add the runtime's own
+	// allocations to the count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for n := 0; n < total; n += len(chunk) {
+		if err := c.Write(chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if c.Buffered() < total {
+		t.Fatalf("buffered %d bytes, want at least %d", c.Buffered(), total)
+	}
+	// The first chunk's buffer, then one per doubling up to 1 MiB: 11
+	// buffers. Twice that leaves room for the runtime's own allocations,
+	// while regrowth by a fixed step would take hundreds.
+	want := 2 * (1 + bits.Len(uint(total/len(chunk))))
+	if allocs := after.Mallocs - before.Mallocs; allocs > uint64(want) {
+		t.Fatalf("writing %d bytes in %d-byte chunks allocates %d times, want at most %d",
+			total, len(chunk), allocs, want)
 	}
 }

@@ -132,8 +132,7 @@ func (c *Conn) processAck(seg *Segment) {
 		}
 		c.sendOff += dataAcked
 		if c.sendOff == len(c.sendBuf) {
-			c.sendBuf = c.sendBuf[:0]
-			c.sendOff = 0
+			c.retireSendBuf()
 		}
 		c.sndUna = ack
 		c.retries = 0

@@ -70,7 +70,8 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		// tid sort order follows the layer stack: network at the bottom.
 		fmt.Fprintf(bw, ",\n{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"sort_index\":%d}}", int(l)+1, int(l))
 	}
-	for _, ev := range t.Events() {
+	events, dropped := t.snapshot()
+	for _, ev := range events {
 		bw.WriteString(",\n{\"name\":")
 		writeJSONString(bw, ev.Kind)
 		bw.WriteString(",\"cat\":")
@@ -83,7 +84,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		writeAttrList(bw, ev, `"seq":`+strconv.FormatUint(ev.Seq, 10))
 		bw.WriteString("}}")
 	}
-	fmt.Fprintf(bw, "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"droppedEvents\":%d", t.Dropped())
+	fmt.Fprintf(bw, "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"droppedEvents\":%d", dropped)
 	metas := t.Metas()
 	for i := 0; i+1 < len(metas); i += 2 {
 		bw.WriteByte(',')
@@ -99,8 +100,8 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 // totals, then the event count per (layer, kind).
 func (t *Tracer) WriteSummary(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	events := t.Events()
-	fmt.Fprintf(bw, "trace: %d events retained, %d dropped (ring capacity)\n", len(events), t.Dropped())
+	events, dropped := t.snapshot()
+	fmt.Fprintf(bw, "trace: %d events retained, %d dropped (ring capacity)\n", len(events), dropped)
 
 	type lk struct {
 		layer Layer

@@ -262,8 +262,16 @@ func (t *Tracer) Emit(layer Layer, kind string, attrs ...Attr) {
 // Events returns the retained events in (At, Seq) order. The slice is a
 // copy; mutating it does not affect the tracer.
 func (t *Tracer) Events() []Event {
+	events, _ := t.snapshot()
+	return events
+}
+
+// snapshot returns a copy of the retained events in (At, Seq) order and
+// the ring's dropped count, both read under one lock so that an export
+// racing a concurrent Emit reports a consistent pair.
+func (t *Tracer) snapshot() ([]Event, uint64) {
 	if t == nil {
-		return nil
+		return nil, 0
 	}
 	if t.mu != nil {
 		t.mu.Lock()
@@ -272,13 +280,17 @@ func (t *Tracer) Events() []Event {
 	out := make([]Event, 0, len(t.buf))
 	out = append(out, t.buf[t.next:]...)
 	out = append(out, t.buf[:t.next]...)
-	return out
+	return out, t.dropped
 }
 
 // Len reports how many events are retained.
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
+	}
+	if t.mu != nil {
+		t.mu.Lock()
+		defer t.mu.Unlock()
 	}
 	return len(t.buf)
 }
@@ -287,6 +299,10 @@ func (t *Tracer) Len() int {
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
+	}
+	if t.mu != nil {
+		t.mu.Lock()
+		defer t.mu.Unlock()
 	}
 	return t.dropped
 }

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"io"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -179,5 +182,51 @@ func TestConcurrentConfigSmoke(t *testing.T) {
 	<-done
 	if tr.Len() != 200 {
 		t.Fatalf("retained %d, want 200", tr.Len())
+	}
+}
+
+// TestConcurrentExportWhileEmitting exports a concurrent tracer while
+// another goroutine overflows its ring. Under -race any unlocked read of
+// the ring or its dropped count is reported. Each Chrome export must
+// also be one consistent snapshot: with the ring full, the newest
+// exported seq is exactly retained + dropped − 1.
+func TestConcurrentExportWhileEmitting(t *testing.T) {
+	const capacity = 16
+	tr := New(&fakeClock{}, Config{Capacity: capacity, Concurrent: true})
+	for i := 0; i < capacity; i++ {
+		tr.Emit(LayerH2, "fill")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20000; i++ {
+			tr.Emit(LayerH2, "send", Num("i", int64(i)))
+		}
+	}()
+	seqRe := regexp.MustCompile(`"seq":(\d+)`)
+	droppedRe := regexp.MustCompile(`"droppedEvents":(\d+)`)
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if err := tr.WriteSummary(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Len() != capacity || tr.Dropped() > 20000 {
+			t.Fatalf("Len %d, Dropped %d", tr.Len(), tr.Dropped())
+		}
+		var b bytes.Buffer
+		if err := tr.WriteChromeTrace(&b); err != nil {
+			t.Fatal(err)
+		}
+		seqs := seqRe.FindAllSubmatch(b.Bytes(), -1)
+		dropped, _ := strconv.Atoi(string(droppedRe.FindSubmatch(b.Bytes())[1]))
+		newest, _ := strconv.Atoi(string(seqs[len(seqs)-1][1]))
+		if len(seqs) != capacity || newest != len(seqs)+dropped-1 {
+			t.Fatalf("export of %d events, newest seq %d, reports %d dropped: not one snapshot",
+				len(seqs), newest, dropped)
+		}
 	}
 }
