@@ -271,9 +271,11 @@ func BenchmarkObsOverhead(b *testing.B) {
 		reg := obs.NewRegistry()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.RunTrial(core.TrialConfig{Seed: int64(i), Attack: &plan, Bundle: instr.Bundle{Metrics: reg}}); err != nil {
+			res, err := core.RunTrial(core.TrialConfig{Seed: int64(i), Attack: &plan})
+			if err != nil {
 				b.Fatal(err)
 			}
+			core.PublishTrialMetrics(reg, res)
 		}
 		if reg.Snapshot().Families == nil {
 			b.Fatal("metered trial published nothing")

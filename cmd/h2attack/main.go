@@ -149,7 +149,7 @@ func main() {
 		fl = flowseq.New(0, opts.Features)
 	}
 	cfg := core.TrialConfig{Seed: *seed, Attack: &plan, Scenario: *scenario, Fleet: fleetCfg,
-		Bundle:     instr.Bundle{Trace: opts.Trace, Metrics: opts.Metrics, Check: ck, Flows: fl},
+		Bundle:     instr.Bundle{Trace: opts.Trace, Check: ck, Flows: fl},
 		StepBudget: opts.StepBudget}
 	if opts.ChaosTrial != nil {
 		cfg.Chaos = opts.ChaosTrial(0)
@@ -176,6 +176,9 @@ func main() {
 		tb.Monitor.EnablePacketLog()
 	}
 	res := tb.Run()
+	sp = pw.Start(perf.StagePublish)
+	core.PublishTrialMetrics(opts.Metrics, res)
+	sp.Stop()
 	pw.EndTrial(tok)
 	pw.Close()
 	if pcap {

@@ -11,7 +11,6 @@ import (
 	"h2privacy/internal/capture"
 	"h2privacy/internal/instr"
 	"h2privacy/internal/netsim"
-	"h2privacy/internal/obs"
 	"h2privacy/internal/simtime"
 	"h2privacy/internal/tcpsim"
 	"h2privacy/internal/trace"
@@ -57,14 +56,6 @@ type Controller struct {
 	stats ControllerStats
 
 	tr *trace.Tracer
-
-	// First-class metrics (nil when no registry is armed; every method on
-	// a nil instrument is a free no-op). reg is kept for the attack driver.
-	reg       *obs.Registry
-	mDrops    *obs.Counter
-	mDelayed  *obs.Counter
-	mJittered *obs.Counter
-	mThrottle *obs.Counter
 }
 
 // ControllerStats counts the controller's interventions.
@@ -77,11 +68,10 @@ type ControllerStats struct {
 }
 
 // NewController builds a controller for the given path. ins.Trace receives
-// knob changes, per-GET delays and drop decisions as events. ins.Metrics
-// counts every intervention (drops, delayed GETs, jittered packets,
-// throttle changes) as it happens, so a live /metrics scrape shows the
-// attack's footprint mid-trial; a driver built on the controller adds its
-// phase metrics to the same registry.
+// knob changes, per-GET delays and drop decisions as events. Stats counts
+// every intervention (drops, delayed GETs, jittered packets, throttle
+// changes); the registry shows them once the trial is published, never
+// mid-trial.
 func NewController(sched *simtime.Scheduler, rng *simtime.Rand, path *netsim.Path, ins instr.Bundle) *Controller {
 	c := &Controller{
 		sched:      sched,
@@ -89,16 +79,7 @@ func NewController(sched *simtime.Scheduler, rng *simtime.Rand, path *netsim.Pat
 		path:       path,
 		randJitter: make(map[netsim.Direction]time.Duration),
 		tr:         ins.Trace,
-		reg:        ins.Metrics,
 	}
-	c.mDrops = c.reg.Counter("h2privacy_adversary_drops_total",
-		"Packets dropped by the adversary's targeted-drop window.")
-	c.mDelayed = c.reg.Counter("h2privacy_adversary_delayed_gets_total",
-		"GET requests delayed by the per-request jitter schedule.")
-	c.mJittered = c.reg.Counter("h2privacy_adversary_jittered_packets_total",
-		"Packets given netem-style random jitter.")
-	c.mThrottle = c.reg.Counter("h2privacy_adversary_throttle_events_total",
-		"Bandwidth-limit changes applied to the path.")
 	path.AddProcessor(c)
 	return c
 }
@@ -126,7 +107,6 @@ func (c *Controller) SetRandomJitter(dir netsim.Direction, max time.Duration) {
 // Throttle limits both directions' bandwidth (§IV-C).
 func (c *Controller) Throttle(bps float64) {
 	c.stats.ThrottleEvents++
-	c.mThrottle.Inc()
 	if c.tr.Enabled() {
 		c.tr.Emit(trace.LayerAdversary, "throttle", trace.Num("bps", int64(bps)))
 	}
@@ -226,7 +206,6 @@ func (c *Controller) Process(now time.Duration, pkt *netsim.Packet) netsim.Verdi
 				c.lastGETExtra = extra
 				v.ExtraDelay += extra
 				c.stats.DelayedGETs++
-				c.mDelayed.Inc()
 				c.stats.TotalGETDelay += extra
 				if c.tr.Enabled() {
 					c.tr.Emit(trace.LayerAdversary, "delay-get",
@@ -246,7 +225,6 @@ func (c *Controller) Process(now time.Duration, pkt *netsim.Packet) netsim.Verdi
 			}
 			if c.rng.Bool(rate) {
 				c.stats.DroppedPkts++
-				c.mDrops.Inc()
 				if c.tr.Enabled() {
 					rtx := int64(0)
 					if seg.Retransmit {
@@ -263,7 +241,6 @@ func (c *Controller) Process(now time.Duration, pkt *netsim.Packet) netsim.Verdi
 	if max := c.randJitter[pkt.Dir]; max > 0 {
 		v.ExtraDelay += c.rng.Uniform(0, max)
 		c.stats.JitteredPkts++
-		c.mJittered.Inc()
 	}
 	return v
 }

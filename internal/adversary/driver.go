@@ -6,7 +6,6 @@ import (
 
 	"h2privacy/internal/capture"
 	"h2privacy/internal/netsim"
-	"h2privacy/internal/obs"
 	"h2privacy/internal/simtime"
 	"h2privacy/internal/trace"
 )
@@ -172,14 +171,6 @@ func (p Phase) String() string {
 	}
 }
 
-// phaseGaugeHelp is shared with core.PublishTrialMetrics — the registry
-// requires a stable help string per metric name.
-const phaseGaugeHelp = "Current attack phase (1 jitter+count, 2 throttle+drop, 3 space-images, 4 passive)."
-
-// PhaseGaugeHelp exposes the phase gauge's help text for re-registration
-// at publication time.
-func PhaseGaugeHelp() string { return phaseGaugeHelp }
-
 // Outcome classifies how an attack trial ended.
 type Outcome int
 
@@ -291,10 +282,6 @@ type Driver struct {
 	// interference until the trial ends.
 	onRelease func()
 	released  bool
-
-	// Live phase metrics (nil instruments when no registry is armed).
-	mPhase       *obs.Gauge
-	mTransitions *obs.CounterVec
 }
 
 // PhaseChange is one driver transition.
@@ -307,18 +294,14 @@ type PhaseChange struct {
 // subscribes to the monitor's GET, control-record and teardown feeds. The
 // monitor must already be tapped into the same path. The plan is
 // validated (defaults applied first); an invalid plan is an error, not
-// silent misbehavior. The driver traces and counts through the
-// controller's instruments: with a registry armed, a gauge holds the
-// current phase number and a per-phase counter every transition.
+// silent misbehavior. The driver traces through the controller's tracer
+// and logs every transition in PhaseLog.
 func NewDriver(sched *simtime.Scheduler, controller *Controller, monitor *capture.Monitor, plan AttackPlan) (*Driver, error) {
 	plan = plan.withDefaults()
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
 	d := &Driver{sched: sched, controller: controller, monitor: monitor, plan: plan, outcome: OutcomePending}
-	d.mPhase = controller.reg.Gauge("h2privacy_adversary_phase", phaseGaugeHelp)
-	d.mTransitions = controller.reg.CounterVec("h2privacy_adversary_phase_transitions_total",
-		"Attack phase transitions.", "phase")
 	d.transition(PhaseIdle)
 	controller.SetRequestSpacing(plan.Phase1Jitter)
 	controller.SetRandomJitter(netsim.ClientToServer, plan.Phase1RandomJitter)
@@ -406,8 +389,6 @@ func (d *Driver) PhaseSpans(end time.Duration) []PhaseSpan {
 func (d *Driver) transition(p Phase) {
 	d.phase = p
 	d.PhaseLog = append(d.PhaseLog, PhaseChange{Time: d.sched.Now(), Phase: p})
-	d.mPhase.Set(float64(p))
-	d.mTransitions.With(p.String()).Inc()
 	if tr := d.controller.tr; tr.Enabled() {
 		tr.Emit(trace.LayerAdversary, "phase", trace.Str("to", p.String()))
 	}

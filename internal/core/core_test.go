@@ -213,11 +213,12 @@ func TestTimeline(t *testing.T) {
 func TestTrialMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	plan := adversary.DefaultPlan()
-	tb, err := NewTestbed(TrialConfig{Seed: 8, Attack: &plan, Bundle: instr.Bundle{Metrics: reg}})
+	tb, err := NewTestbed(TrialConfig{Seed: 8, Attack: &plan})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := tb.Run()
+	PublishTrialMetrics(reg, res)
 	snap := reg.Snapshot()
 	val := func(name string) (float64, bool) {
 		for _, f := range snap.Families {
@@ -259,11 +260,11 @@ func TestTrialMetrics(t *testing.T) {
 	// Everything published is virtual-time derived: a same-seed rerun into a
 	// fresh registry must produce an identical exposition.
 	reg2 := obs.NewRegistry()
-	tb2, err := NewTestbed(TrialConfig{Seed: 8, Attack: &plan, Bundle: instr.Bundle{Metrics: reg2}})
+	tb2, err := NewTestbed(TrialConfig{Seed: 8, Attack: &plan})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb2.Run()
+	PublishTrialMetrics(reg2, tb2.Run())
 	var a, b strings.Builder
 	if err := reg.WritePrometheus(&a); err != nil {
 		t.Fatal(err)

@@ -52,8 +52,9 @@ type Options struct {
 	// the flat trial index) finalizing into this shared collector, so the
 	// run's per-stream timelines, burst tables and clean-slate spans can be
 	// exported (CSV/JSONL) and served live at /debug/flows. The flow_*
-	// metric families publish through the same deferred in-order drain as
-	// the trial outcome metrics, so registry snapshots and exports stay
+	// histograms and labeled totals publish through the same deferred
+	// in-order drain as the trial outcome metrics, and the per-flow counts
+	// as each flow finalizes, so registry snapshots and exports stay
 	// byte-identical at any worker count. Nil runs unanalyzed at zero cost.
 	Features *flowseq.Collector
 	// Perf, when non-nil, attributes the sweep's host-side cost: each
@@ -64,10 +65,10 @@ type Options struct {
 	// families, so same-seed output stays byte-identical at any worker
 	// count. Nil disables at zero cost (the nil-collector contract).
 	Perf *perf.Collector
-	// Metrics, when non-nil, receives every trial's per-trial metrics
-	// (core.TrialConfig.Metrics): the whole sweep accumulates into one
-	// registry, so a final snapshot summarizes the run and a live scrape
-	// shows it advancing. Nil keeps trials unmetered at zero cost.
+	// Metrics, when non-nil, receives every committed trial's metrics
+	// (core.PublishTrialMetrics), published in index order once each sweep
+	// completes: the whole run accumulates into one registry, so a final
+	// snapshot summarizes it. Nil keeps trials unmetered at zero cost.
 	Metrics *obs.Registry
 	// Progress, when non-nil, is ticked once per completed trial; the
 	// caller drives its Start/Done around each experiment. Nil reports

@@ -7,11 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"h2privacy/internal/adversary"
 	"h2privacy/internal/core"
+	"h2privacy/internal/flowseq"
 	"h2privacy/internal/obs"
 )
 
@@ -280,6 +283,75 @@ func TestRetryRecoversTransientFault(t *testing.T) {
 		}
 		if got := counterValue(snap, "sweep_trials_quarantined"); got != -1 {
 			t.Fatalf("workers=%d: quarantined family registered (= %v) with nothing quarantined", workers, got)
+		}
+	}
+}
+
+// attackFamilies runs 4 attacked trials from seed 70 with a flowseq
+// collector publishing into the registry, and returns each registered
+// family as JSON, keyed by name, without the sweep_trials_* supervision
+// families.
+func attackFamilies(t *testing.T, opts Options) map[string]string {
+	t.Helper()
+	opts.BaseSeed = 70
+	opts.Metrics = obs.NewRegistry()
+	opts.Features = flowseq.NewCollector()
+	opts.Features.PublishTo(opts.Metrics)
+	plan := adversary.DefaultPlan()
+	if _, err := opts.Sweep(4, func(tr int) core.TrialConfig {
+		return core.TrialConfig{Seed: opts.BaseSeed + int64(tr), Attack: &plan}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fams := make(map[string]string)
+	for _, f := range opts.Metrics.Snapshot().Families {
+		if strings.HasPrefix(f.Name, "sweep_trials_") {
+			continue
+		}
+		b, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fams[f.Name] = string(b)
+	}
+	return fams
+}
+
+// TestRetriedAttemptLeavesNoCounts pins that an abandoned attempt leaves
+// nothing in the registry: a sweep whose trial 2 hangs on its first
+// attempt and is retried publishes the same families and values as a
+// clean sweep, apart from the supervision counters. Only committed results
+// reach the registry, so the hung attempt's drops, delayed GETs, phase
+// transitions and flow records are never counted.
+func TestRetriedAttemptLeavesNoCounts(t *testing.T) {
+	clean := attackFamilies(t, Options{Workers: 1})
+	for _, workers := range []int{1, 4} {
+		var mu sync.Mutex
+		hung := false
+		retried := attackFamilies(t, Options{
+			Workers:      workers,
+			StepBudget:   200_000,
+			MaxRetries:   1,
+			SuperviseLog: io.Discard,
+			ChaosTrial: func(flat int) core.ChaosMode {
+				mu.Lock()
+				defer mu.Unlock()
+				if flat == 2 && !hung {
+					hung = true
+					return core.ChaosHang
+				}
+				return core.ChaosNone
+			},
+		})
+		for name, want := range clean {
+			if got := retried[name]; got != want {
+				t.Errorf("workers=%d: %s\n clean:   %s\n retried: %s", workers, name, want, got)
+			}
+		}
+		for name, got := range retried {
+			if _, ok := clean[name]; !ok {
+				t.Errorf("workers=%d: retried sweep registered %s: %s", workers, name, got)
+			}
 		}
 	}
 }

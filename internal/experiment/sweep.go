@@ -23,13 +23,13 @@ import (
 //   - The cross-layer tracer is armed for trial 0 of the first sweep that
 //     finds it empty — decided once, before fan-out, not raced by "first
 //     trial to start" (trials run dark otherwise, exactly as before).
-//   - Registry publication is deferred: trials run with DeferMetrics and
-//     the engine publishes each TrialResult in index order once the sweep
-//     completes, because histogram sums are order-sensitive float
-//     additions and gauges are last-writer-wins. The adversary's live
-//     intervention counters still stream in during trials; those are
-//     integer atomics whose totals are order-independent, so a live
-//     /metrics scrape keeps showing the sweep advance.
+//   - Registry publication is deferred: no trial writes to the registry,
+//     and the engine publishes each TrialResult in index order once the
+//     sweep completes, because histogram sums are order-sensitive float
+//     additions and gauges are last-writer-wins. Only the flowseq
+//     collector's per-flow counts land as trials finish — integer totals
+//     that do not depend on order — so a live /metrics scrape still shows
+//     the sweep advance.
 //   - The first error by trial index wins, regardless of which worker hit
 //     an error first.
 //
@@ -186,10 +186,6 @@ func (o Options) sweep(n, arity int, cfgs func(t int) []core.TrialConfig) ([]*co
 			}
 			if armTrace && t == 0 && j == 0 {
 				cfg.Trace = o.Trace
-			}
-			if cfg.Metrics == nil {
-				cfg.Metrics = o.Metrics
-				cfg.DeferMetrics = cfg.Metrics != nil
 			}
 			// Supervision plumbing: cancellation, watchdogs and fault
 			// injection. All zero-cost no-ops when unarmed, so a plain

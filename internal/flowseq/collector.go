@@ -15,23 +15,19 @@ import (
 // is byte-identical at any worker count.
 //
 // Metrics split, mirroring the sweep engine's determinism contract: the
-// live counters PublishTo resolves (records, GETs, stream opens, resets,
-// spans) stream in during trials — integer atomics whose totals are
-// order-independent, so a live scrape shows the sweep advance — while the
+// per-flow counts PublishTo resolves (records, GETs, controls, stream
+// opens, resets, spans) are added once per finalized flow, as it reaches
+// the collector — integer totals that do not depend on the order flows
+// arrive in, so a scrape shows the sweep advance flow by flow — while the
 // order-sensitive families (histograms, labeled totals) publish deferred
-// and in trial-index order through PublishFeatures.
-// flowKey identifies one flow of one trial; retried trials overwrite
-// their failed attempt's rows key by key.
-type flowKey struct {
-	trial int
-	flow  string
-}
-
+// and in trial-index order through PublishFeatures. A trial attempt that
+// never finalizes adds nothing.
 type Collector struct {
 	mu     sync.Mutex
 	trials map[flowKey]*FlowFeatures
 
-	// Live instruments, resolved by PublishTo; nil no-ops otherwise.
+	// Per-flow count instruments, resolved by PublishTo; nil no-ops
+	// otherwise.
 	cRecC2S  *obs.Counter
 	cRecS2C  *obs.Counter
 	cGET     *obs.Counter
@@ -41,12 +37,19 @@ type Collector struct {
 	cSpans   *obs.Counter
 }
 
+// flowKey identifies one flow of one trial; retried trials overwrite
+// their failed attempt's rows key by key.
+type flowKey struct {
+	trial int
+	flow  string
+}
+
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{trials: make(map[flowKey]*FlowFeatures)}
 }
 
-// PublishTo resolves the live flow_* counters against reg and pre-creates
+// PublishTo resolves the per-flow flow_* counters against reg and pre-creates
 // every deferred family and series PublishFeatures will touch, so a
 // mid-sweep scrape's family shape does not depend on which trials
 // happened to finish first (the perf collector's pattern). Nil collector
@@ -148,8 +151,10 @@ func PublishFeatures(reg *obs.Registry, ff *FlowFeatures) {
 	}
 }
 
-// add registers a finalized flow; last Finalize for a (trial, flow) key
-// wins.
+// add registers a finalized flow and adds its counts to the per-flow
+// counters. The last Finalize for a (trial, flow) key wins the rows; the
+// counts of a flow it replaces were added when that flow arrived and are
+// not added again. Finalize is idempotent, so each flow arrives once.
 func (c *Collector) add(ff *FlowFeatures) {
 	if c == nil || ff == nil {
 		return
@@ -157,55 +162,19 @@ func (c *Collector) add(ff *FlowFeatures) {
 	c.mu.Lock()
 	c.trials[flowKey{ff.Trial, ff.Flow}] = ff
 	c.mu.Unlock()
-}
-
-// live counter feeds — each is a nil-safe no-op until PublishTo resolves
-// the instruments (and forever, on a nil collector).
-
-func (c *Collector) liveRecord(c2s bool) {
-	if c == nil {
-		return
+	c.cRecC2S.Add(int64(ff.records[0]))
+	c.cRecS2C.Add(int64(ff.records[1]))
+	c.cGET.Add(int64(ff.GETs))
+	c.cControl.Add(int64(ff.Control))
+	c.cOpened.Add(int64(len(ff.Streams)))
+	c.cSpans.Add(int64(len(ff.Spans)))
+	resets := 0
+	for i := range ff.Streams {
+		if ff.Streams[i].End == "reset" {
+			resets++
+		}
 	}
-	if c2s {
-		c.cRecC2S.Inc()
-	} else {
-		c.cRecS2C.Inc()
-	}
-}
-
-func (c *Collector) liveGET() {
-	if c == nil {
-		return
-	}
-	c.cGET.Inc()
-}
-
-func (c *Collector) liveControl() {
-	if c == nil {
-		return
-	}
-	c.cControl.Inc()
-}
-
-func (c *Collector) liveStreamOpened() {
-	if c == nil {
-		return
-	}
-	c.cOpened.Inc()
-}
-
-func (c *Collector) liveReset() {
-	if c == nil {
-		return
-	}
-	c.cResets.Inc()
-}
-
-func (c *Collector) liveSpan() {
-	if c == nil {
-		return
-	}
-	c.cSpans.Inc()
+	c.cResets.Add(int64(resets))
 }
 
 // sorted snapshots the collected flows in (trial index, flow ID) order.

@@ -18,6 +18,11 @@ type FlowFeatures struct {
 	Streams []StreamFeature `json:"streams"`
 	Bursts  []Burst         `json:"bursts"`
 	Spans   []Span          `json:"spans"`
+
+	// records counts every record fed to the analyzer, by direction
+	// (0 = c2s). It feeds the collector's flow_records_observed_total and
+	// is not part of the feature export.
+	records [2]int
 }
 
 // StreamFeature is one HTTP/2 stream's extracted timeline and size/gap
@@ -125,6 +130,7 @@ func (a *Analyzer) Finalize() *FlowFeatures {
 		GETs:    a.gets,
 		Control: a.controls,
 		Tainted: a.tainted,
+		records: a.records,
 	}
 	ids := make([]uint32, 0, len(a.streams))
 	for id := range a.streams {

@@ -85,6 +85,7 @@ type Analyzer struct {
 	spanResets  int
 	lastS2CData time.Duration
 	anyS2CData  bool
+	records     [2]int // every fed record, by direction (0 = c2s)
 	gets        int
 	controls    int
 	tainted     int
@@ -141,7 +142,7 @@ type streamState struct {
 
 // New returns an analyzer for the given flat trial index flushing into
 // col at Finalize. col may be nil for a standalone analyzer (tests, ad-hoc
-// use); the live flow_* counters then have nowhere to stream and stay off.
+// use), whose features then reach no collector.
 func New(trial int, col *Collector) *Analyzer {
 	return &Analyzer{trial: trial, col: col, streams: make(map[uint32]*streamState)}
 }
@@ -218,14 +219,12 @@ func (a *Analyzer) Record(c2s bool, wireLen, plainLen int, isGET, isControl, tai
 	defer a.unlock()
 	t := a.now()
 	a.lastEvent = t
-	a.col.liveRecord(c2s)
+	a.records[dirIndex(c2s)]++
 	if isGET {
 		a.gets++
-		a.col.liveGET()
 	}
 	if isControl {
 		a.controls++
-		a.col.liveControl()
 	}
 	if plainLen <= 0 {
 		return // handshake/CCS records carry no application payload
@@ -240,7 +239,6 @@ func (a *Analyzer) Record(c2s bool, wireLen, plainLen int, isGET, isControl, tai
 		if isControl {
 			if !a.spanOpen && a.anyS2CData && t-a.lastS2CData >= SpanSilence {
 				a.spanOpen, a.spanStart, a.spanResets = true, t, 0
-				a.col.liveSpan()
 			}
 			if a.spanOpen {
 				a.spanResets++
@@ -384,11 +382,7 @@ func (a *Analyzer) H2Frame(client, sent bool, ftype uint8, stream uint32, n int,
 			s.hasRequest, s.requestAt = true, t
 		}
 	case frameRST:
-		s := a.stream(stream)
-		if s.end == "" {
-			a.col.liveReset()
-		}
-		a.finish(s, "reset", t)
+		a.finish(a.stream(stream), "reset", t)
 	}
 }
 
@@ -437,7 +431,6 @@ func (a *Analyzer) stream(id uint32) *streamState {
 	}
 	s := &streamState{id: id, activeIdx: -1}
 	a.streams[id] = s
-	a.col.liveStreamOpened()
 	return s
 }
 

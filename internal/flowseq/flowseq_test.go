@@ -377,6 +377,44 @@ func TestLiveCountersAndPublishedFamilies(t *testing.T) {
 	}
 }
 
+// TestCountsAddedOncePerFlow pins when the collector's per-flow counters
+// move: not while a flow is fed (an attempt that never finalizes adds
+// nothing), by the flow's counts when it finalizes, not again on a
+// repeated Finalize, and by a later flow's own counts when it arrives
+// under the same (trial, flow) key, as the next sweep's trial of the same
+// index does, while its rows replace the earlier flow's.
+func TestCountsAddedOncePerFlow(t *testing.T) {
+	reg := obs.NewRegistry()
+	col := flowseq.NewCollector()
+	col.PublishTo(reg)
+	gets := func() float64 {
+		for _, f := range reg.Snapshot().Families {
+			if f.Name == "flow_get_records_total" {
+				return f.Series[0].Value
+			}
+		}
+		return -1
+	}
+	clk := &testClock{}
+	for i, want := range []float64{1, 2} {
+		a := flowseq.New(0, col)
+		a.SetClock(clk)
+		a.SetFlow("f")
+		feed(a, clk)
+		if got := gets(); got != want-1 {
+			t.Fatalf("flow %d: %v GETs counted before Finalize, want %v", i, got, want-1)
+		}
+		a.Finalize()
+		a.Finalize()
+		if got := gets(); got != want {
+			t.Fatalf("flow %d: %v GETs counted after Finalize, want %v", i, got, want)
+		}
+	}
+	if r := col.Receipt(""); r.Trials != 1 || r.StreamRows != 1 {
+		t.Fatalf("receipt %+v, want the second flow's one stream row", r)
+	}
+}
+
 // TestPublishToPinsFamilyShape pins the mid-sweep scrape contract: the
 // family and series set after PublishTo alone equals the set after
 // features publish, so a scrape's shape never depends on how many trials

@@ -8,7 +8,6 @@ package instr
 import (
 	"h2privacy/internal/check"
 	"h2privacy/internal/flowseq"
-	"h2privacy/internal/obs"
 	"h2privacy/internal/trace"
 )
 
@@ -28,7 +27,4 @@ type Bundle struct {
 	// request annotations. Arm it on one h2 endpoint per flow; wiring both
 	// would count every frame twice.
 	Flows *flowseq.Analyzer
-	// Metrics receives the adversary's and the fault injector's live
-	// counters and gauges.
-	Metrics *obs.Registry
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"h2privacy/internal/instr"
-	"h2privacy/internal/obs"
 	"h2privacy/internal/simtime"
 	"h2privacy/internal/trace"
 )
@@ -50,21 +49,18 @@ type Injector struct {
 
 	log []FaultTransition
 
-	tr           *trace.Tracer
-	mTransitions *obs.CounterVec
+	tr *trace.Tracer
 }
 
 // NewInjector builds a fault injector over the path. rng should be a fork
 // of the trial's seed stream dedicated to fault timing. ins.Trace receives
-// one event per fault transition (LayerNetsim, kind "fault") and
-// ins.Metrics a per-kind transition counter.
+// one event per fault transition (LayerNetsim, kind "fault"); Log keeps
+// them all.
 func NewInjector(sched *simtime.Scheduler, rng *simtime.Rand, path *Path, ins instr.Bundle) *Injector {
 	if sched == nil || rng == nil || path == nil {
 		panic("netsim: NewInjector requires a scheduler, rng and path")
 	}
-	return &Injector{sched: sched, rng: rng, path: path, tr: ins.Trace,
-		mTransitions: ins.Metrics.CounterVec("h2privacy_fault_transitions_total",
-			"Fault-injection transitions applied to the path, by fault kind.", "kind")}
+	return &Injector{sched: sched, rng: rng, path: path, tr: ins.Trace}
 }
 
 // SetWiper installs the knob-state target of ScheduleMboxRestart.
@@ -73,10 +69,9 @@ func (in *Injector) SetWiper(w KnobWiper) { in.wiper = w }
 // Log returns the fault transitions applied so far, in virtual-time order.
 func (in *Injector) Log() []FaultTransition { return in.log }
 
-// transition records, traces and counts one fault state change.
+// transition records and traces one fault state change.
 func (in *Injector) transition(kind, detail string) {
 	in.log = append(in.log, FaultTransition{At: in.sched.Now(), Kind: kind, Detail: detail})
-	in.mTransitions.With(kind).Inc()
 	if in.tr.Enabled() {
 		in.tr.Emit(trace.LayerNetsim, "fault",
 			trace.Str("kind", kind), trace.Str("detail", detail))

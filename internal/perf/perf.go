@@ -65,8 +65,8 @@ const (
 	// StageCheck is invariant-check finalize (end-of-trial conservation
 	// checks and violation flush).
 	StageCheck
-	// StagePublish is inline per-trial metrics publication (only taken when
-	// the trial does not defer publication to the sweep engine).
+	// StagePublish is a single trial's metrics publication outside a sweep
+	// (h2attack's single-trial path brackets PublishTrialMetrics with it).
 	StagePublish
 	// StageQueueWait is the gap a worker spends between trial bodies:
 	// goroutine spawn latency before its first trial, then claim/config
