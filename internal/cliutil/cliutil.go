@@ -38,7 +38,7 @@ import (
 // full attack trial executes ~12k scheduler events, so five million is
 // ~400x headroom for the attack itself while a chaos-hang trial burns
 // through it in a fraction of a second. Background load legitimately
-// costs far more (crosstraffic at 300 Mbps fires ~7.5M events per
+// costs far more (crosstraffic at 300 Mbps fires up to ~5M events per
 // trial), so experiment.CrossTraffic widens the budget by its measured
 // event rate.
 const DefaultStepBudget = 5_000_000

@@ -195,11 +195,12 @@ func buildFlow(sched *simtime.Scheduler, rng *simtime.Rand, cfg *TrialConfig, si
 	f.Controller = adversary.NewController(sched, rng.Fork(), f.Path, ins)
 	if cfg.CrossTrafficBps > 0 {
 		ct := netsim.NewCrossTraffic(sched, rng.Fork(), f.Path, cfg.CrossTrafficBps, 0)
+		// The page load and attack finish well inside 40 s, and the
+		// generator stops by itself once nothing else is pending; the
+		// deadline bounds it while something else, a fleet's decoys or a
+		// late timer, keeps the trial busy.
+		ct.StopAt(40 * time.Second)
 		sched.At(0, ct.Start)
-		// The page load and attack finish well inside 40 s; stopping the
-		// generator lets the trial quiesce instead of simulating hours
-		// of idle background packets.
-		sched.At(40*time.Second, ct.Stop)
 	}
 	tcp := cfg.TCP
 	if tcp.Pool == nil {

@@ -110,10 +110,11 @@ func CrossTraffic(opts Options) (*Report, error) {
 }
 
 // crossTrafficEventsPerMbps is the measured scheduler cost of background
-// load over the generator's 40 s window: 2.51M events per trial at
-// 100 Mbps and 7.51M at 300 Mbps (base seed 1), about three events per
-// injected packet.
-const crossTrafficEventsPerMbps = 25_100
+// load when the generator runs its whole 40 s window: 1.68M events per
+// trial at 100 Mbps and 5.02M at 300 Mbps (seeds 1–4), two events per
+// injected packet (its send tick and its queue drain). A trial whose
+// generator stops once it is alone costs about half that.
+const crossTrafficEventsPerMbps = 16_800
 
 // crossTrafficStepBudget widens an armed sweep budget by twice the
 // background load's expected event count, so the budget keeps its full

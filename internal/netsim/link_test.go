@@ -500,7 +500,7 @@ func TestRecyclingSendDeliverZeroAllocs(t *testing.T) {
 		p.Connect(func(*Packet) { delivered++ }, func(*Packet) { delivered++ })
 		burst := func() {
 			for i := 0; i < 32; i++ {
-				p.Send(ClientToServer, 1200, Background{})
+				p.Send(ClientToServer, 1200, "seg")
 			}
 			sched.Run()
 		}
