@@ -247,9 +247,10 @@ type fleet struct {
 // decoys around it, then schedules the adversary's target selection. ins
 // is the target's instrument bundle. A decoy's bundle is the target's
 // with the tracer and checker cleared and its own sibling analyzer; its
-// links still feed packet conservation through the bottleneck. Each decoy
-// draws from its own root RNG (mixSeed), so adding or removing decoys
-// never shifts another flow's stream.
+// links still feed packet conservation through the bottleneck, and its
+// server keeps no transmission log, which only the target's DoM reads.
+// Each decoy draws from its own root RNG (mixSeed), so adding or removing
+// decoys never shifts another flow's stream.
 func (tb *Testbed) buildFleet(ins instr.Bundle) error {
 	cfg := &tb.cfg
 	fc := cfg.Fleet.withDefaults(cfg.Link)
@@ -277,6 +278,7 @@ func (tb *Testbed) buildFleet(ins instr.Bundle) error {
 		if err != nil {
 			return fmt.Errorf("core: fleet decoy %d %w", i, err)
 		}
+		d.Server.DropTxLog()
 		bn.Attach(d.Path)
 		sched.At(time.Duration(i)*fc.Stagger, d.start)
 		fl.analyzers[i] = dins.Flows

@@ -178,6 +178,10 @@ func (s *Server) Err() error { return s.fatalErr }
 // frame, offsets in cumulative sent payload bytes).
 func (s *Server) TxLog() []metrics.TxSpan { return s.txLog }
 
+// DropTxLog stops recording the transmission log, leaving the h2 output
+// untapped. A fleet decoy's server calls it: only the target's log is read.
+func (s *Server) DropTxLog() { s.stack.tapH2Out = nil }
+
 // ActivePeak reports the maximum number of concurrently active tasks —
 // the "number of HTTP/2 objects processed by the server at an instant".
 func (s *Server) ActivePeak() int { return s.activePeak }
