@@ -94,6 +94,73 @@ func TestPoisonedPoolPreservesOutput(t *testing.T) {
 	}
 }
 
+// pooledFleetFingerprint runs an 8-trial adaptive N=50, budget-1 fleet
+// sweep under the given pooling regime and serializes each trial's
+// outcome, fleet selection, every decoy's fate and the published
+// registry. A fleet recycles packets and segments across flows and, on a
+// worker, across trials, so a struct reused while something still holds
+// it shows up here as a diverging decoy fate or counter.
+func pooledFleetFingerprint(t *testing.T, workers int, noPool, poison bool) []byte {
+	t.Helper()
+	plan := adversary.DefaultPlan()
+	plan.Adaptive = true
+	opts := Options{
+		Trials: 8, BaseSeed: 5151, Workers: workers,
+		NoPool: noPool, PoolPoison: poison,
+		Metrics: obs.NewRegistry(),
+	}
+	results, err := opts.Sweep(opts.Trials, func(tr int) core.TrialConfig {
+		return core.TrialConfig{Seed: opts.BaseSeed + int64(tr), Attack: &plan,
+			Fleet: &core.FleetConfig{N: 50, Budget: 1}}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	for i, res := range results {
+		fo := res.Fleet
+		fmt.Fprintf(&buf, "trial %d: outcome=%v resets=%d gets=%d html=%v broken=%v selected=%v target=%v peak=%d interventions=%d aggC2S=%+v aggS2C=%+v\n",
+			i, res.Outcome, res.Resets, res.GETs, res.ObjectSuccess(website.TargetID), res.Broken,
+			fo.Selected, fo.TargetSelected, fo.BudgetPeak, fo.Interventions, fo.AggC2S, fo.AggS2C)
+		for _, d := range fo.Decoys {
+			fmt.Fprintf(&buf, "  %s load=%v completed=%d broken=%v resets=%d targeted=%v\n",
+				d.Flow, d.LoadTime, d.Completed, d.Broken, d.Resets, d.Targeted)
+		}
+	}
+	if err := opts.Metrics.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestPooledFleetSweepByteIdentical is the fleet's pooling pin: pooled,
+// unpooled and poisoned runs of the same fleet sweep, each at 1 and 4
+// workers, produce one fingerprint.
+func TestPooledFleetSweepByteIdentical(t *testing.T) {
+	want := pooledFleetFingerprint(t, 1, true, false)
+	if len(want) == 0 {
+		t.Fatal("empty fingerprint")
+	}
+	for _, v := range []struct {
+		name           string
+		workers        int
+		noPool, poison bool
+	}{
+		{"no-pool/4", 4, true, false},
+		{"pooled/1", 1, false, false},
+		{"pooled/4", 4, false, false},
+		{"poisoned/1", 1, false, true},
+		{"poisoned/4", 4, false, true},
+	} {
+		got := pooledFleetFingerprint(t, v.workers, v.noPool, v.poison)
+		if !bytes.Equal(want, got) {
+			d := diffAt(want, got)
+			t.Errorf("%s fleet sweep differs from no-pool/1 near byte %d:\n--- no-pool/1 ---\n%s\n--- %s ---\n%s",
+				v.name, d, excerpt(want, d), v.name, excerpt(got, d))
+		}
+	}
+}
+
 // TestPooledSweepCheckClean runs the invariant checker over poisoned
 // pooled trials at 4 workers: every layer's always-on invariants (capture
 // taint accounting, TCP sequence sanity, h2 stream-state rules, ...) must
