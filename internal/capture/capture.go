@@ -112,6 +112,7 @@ type RecordEvent struct {
 // PacketStats aggregates per-direction packet-level observations.
 type PacketStats struct {
 	Packets       int
+	Records       int // TLS records parsed from the forwarded stream
 	PayloadBytes  int64
 	Retransmits   int // segments flagged as TCP retransmissions
 	DroppedPolicy int // packets the adversary itself dropped
@@ -133,6 +134,7 @@ type Monitor struct {
 	onTeardown   func(now time.Duration, dir netsim.Direction)
 	logPackets   bool
 	packets      []PacketRecord
+	dropRecords  bool // DropRecords: count records, keep none
 
 	tr *trace.Tracer
 	fl *flowseq.Analyzer
@@ -173,8 +175,14 @@ func (m *Monitor) OnControl(fn func(count int, ev RecordEvent)) { m.onControl = 
 // and the attack should degrade to passive observation.
 func (m *Monitor) OnTeardown(fn func(now time.Duration, dir netsim.Direction)) { m.onTeardown = fn }
 
-// Records returns all parsed record events in observation order.
+// Records returns all parsed record events in observation order, or
+// none after DropRecords.
 func (m *Monitor) Records() []RecordEvent { return m.records }
+
+// DropRecords stops retaining parsed records; Stats still counts them
+// per direction and every callback and analyzer still sees each one. A
+// fleet decoy's monitor calls it: only the target's records are read.
+func (m *Monitor) DropRecords() { m.dropRecords = true }
 
 // GETCount reports the GETs counted so far.
 func (m *Monitor) GETCount() int { return m.getCount }
@@ -247,7 +255,10 @@ func (m *Monitor) Observe(ev netsim.PacketEvent) {
 				}
 			}
 		}
-		m.records = append(m.records, rec)
+		st.Records++
+		if !m.dropRecords {
+			m.records = append(m.records, rec)
+		}
 		if m.fl.Enabled() {
 			m.fl.Record(rec.Dir == netsim.ClientToServer, rec.WireLen, rec.PlainLen,
 				rec.IsGET, rec.IsControl, rec.Tainted)

@@ -60,6 +60,34 @@ func TestMonitorParsesRecords(t *testing.T) {
 	}
 }
 
+// TestMonitorDropRecordsKeepsCounts pins a decoy monitor's contract:
+// after DropRecords it retains no record, but counts each one per
+// direction and still fires the GET callback.
+func TestMonitorDropRecordsKeepsCounts(t *testing.T) {
+	m := NewMonitor(instr.Bundle{})
+	m.DropRecords()
+	gets := 0
+	m.OnGET(func(int, RecordEvent) { gets++ })
+	next := syn(m, netsim.ClientToServer)
+	var wire []byte
+	for i := 0; i < setupRecordSkip+2; i++ {
+		wire = append(wire, record(tlsrec.ContentApplicationData, 100)...)
+	}
+	feed(m, netsim.ClientToServer, time.Millisecond, seg(next, wire, false))
+	if n := len(m.Records()); n != 0 {
+		t.Fatalf("retained %d records after DropRecords", n)
+	}
+	if got, want := m.Stats(netsim.ClientToServer).Records, setupRecordSkip+2; got != want {
+		t.Fatalf("c2s record count = %d, want %d", got, want)
+	}
+	if got := m.Stats(netsim.ServerToClient).Records; got != 0 {
+		t.Fatalf("s2c record count = %d, want 0", got)
+	}
+	if gets != 2 || m.GETCount() != 2 {
+		t.Fatalf("GET callbacks = %d, count = %d, want 2", gets, m.GETCount())
+	}
+}
+
 func TestMonitorReassemblesOutOfOrder(t *testing.T) {
 	m := NewMonitor(instr.Bundle{})
 	next := syn(m, netsim.ServerToClient)

@@ -103,13 +103,8 @@ func TestRegistryFamiliesMatchSources(t *testing.T) {
 				adv.DelayedGETs += st.DelayedGETs
 				adv.JitteredPkts += st.JitteredPkts
 				adv.ThrottleEvents += st.ThrottleEvents
-				for _, r := range f.Monitor.Records() {
-					if r.Dir == netsim.ClientToServer {
-						records["c2s"]++
-					} else {
-						records["s2c"]++
-					}
-				}
+				records["c2s"] += f.Monitor.Stats(netsim.ClientToServer).Records
+				records["s2c"] += f.Monitor.Stats(netsim.ServerToClient).Records
 			}
 			check("h2privacy_adversary_drops_total", one(adv.DroppedPkts))
 			check("h2privacy_adversary_delayed_gets_total", one(adv.DelayedGETs))

@@ -89,7 +89,7 @@ func (c ServerConfig) withDefaults() ServerConfig {
 type task struct {
 	stream   *h2.Stream
 	obj      *website.Object
-	instance string
+	instance string // "obj#n"; empty unless the TxLog or the tracer reads it
 	body     []byte
 	sent     int
 	headers  bool
@@ -179,7 +179,8 @@ func (s *Server) Err() error { return s.fatalErr }
 func (s *Server) TxLog() []metrics.TxSpan { return s.txLog }
 
 // DropTxLog stops recording the transmission log, leaving the h2 output
-// untapped. A fleet decoy's server calls it: only the target's log is read.
+// untapped, and with tracing off tasks spawned after it go unnamed. A
+// fleet decoy's server calls it: only the target's log is read.
 func (s *Server) DropTxLog() { s.stack.tapH2Out = nil }
 
 // ActivePeak reports the maximum number of concurrently active tasks —
@@ -248,14 +249,16 @@ func (s *Server) onRequest(stream *h2.Stream, fields []h2.HeaderField, endStream
 
 // spawn creates and schedules the serving task ("thread") for obj.
 func (s *Server) spawn(stream *h2.Stream, obj *website.Object) {
-	inst := fmt.Sprintf("%s#%d", obj.ID, s.instances[obj.ID])
+	t := &task{stream: stream, obj: obj, body: s.site.Body(obj)}
+	if s.stack.tapH2Out != nil || s.tr.Enabled() {
+		t.instance = fmt.Sprintf("%s#%d", obj.ID, s.instances[obj.ID])
+	}
 	s.instances[obj.ID]++
 	s.tasksServed++
-	t := &task{stream: stream, obj: obj, instance: inst, body: s.site.Body(obj)}
 	s.tasks[stream.ID()] = t
 	if s.tr.Enabled() {
 		s.tr.Emit(trace.LayerServer, "task-spawn",
-			trace.Str("instance", inst), trace.Num("stream", int64(stream.ID())),
+			trace.Str("instance", t.instance), trace.Num("stream", int64(stream.ID())),
 			trace.Num("size", int64(len(t.body))))
 	}
 	_ = s.prio.Add(stream.ID(), stream.Priority())

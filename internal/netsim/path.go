@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"h2privacy/internal/instr"
+	"h2privacy/internal/pool"
 	"h2privacy/internal/simtime"
 )
 
@@ -85,12 +86,12 @@ func (p *Path) AddTap(t Tap) {
 
 // SetRecycle arms packet recycling on both links (see Link.SetRecycle):
 // delivered or dropped packets hand their payload to release and return
-// their structs to per-link free lists. The transport layer installs
-// this when a trial arena is armed; consumers must then not retain
-// packets or payloads past their callbacks.
-func (p *Path) SetRecycle(release func(payload any)) {
-	p.c2s.SetRecycle(release)
-	p.s2c.SetRecycle(release)
+// their structs to free. The transport layer installs this when a trial
+// arena is armed; consumers must then not retain packets or payloads
+// past their callbacks.
+func (p *Path) SetRecycle(free *pool.FreeList[Packet], release func(payload any)) {
+	p.c2s.SetRecycle(free, release)
+	p.s2c.SetRecycle(free, release)
 }
 
 // SetBandwidth throttles both directions to the given rate in bits per

@@ -150,8 +150,8 @@ func TestRngSourceDrawBoundaries(t *testing.T) {
 }
 
 // TestRandRegisterBuiltOnDemand pins the memory the on-demand register
-// saves: a fork drawn up to rngTap times makes NewRand's two
-// allocations and nothing else, and draw rngTap+1 adds exactly one, the
+// saves: a fork drawn up to rngTap times makes NewRand's one
+// allocation and nothing else, and draw rngTap+1 adds exactly one, the
 // register itself.
 func TestRandRegisterBuiltOnDemand(t *testing.T) {
 	draw := func(n int) func() {
@@ -163,11 +163,11 @@ func TestRandRegisterBuiltOnDemand(t *testing.T) {
 			randSink = r
 		}
 	}
-	if a := testing.AllocsPerRun(100, draw(rngTap)); a != 2 {
-		t.Fatalf("NewRand + %d draws allocates %.0f times, want 2", rngTap, a)
+	if a := testing.AllocsPerRun(100, draw(rngTap)); a != 1 {
+		t.Fatalf("NewRand + %d draws allocates %.0f times, want 1", rngTap, a)
 	}
-	if a := testing.AllocsPerRun(100, draw(rngTap+1)); a != 3 {
-		t.Fatalf("NewRand + %d draws allocates %.0f times, want 3", rngTap+1, a)
+	if a := testing.AllocsPerRun(100, draw(rngTap+1)); a != 2 {
+		t.Fatalf("NewRand + %d draws allocates %.0f times, want 2", rngTap+1, a)
 	}
 	const runs = 100
 	var before, after runtime.MemStats

@@ -435,7 +435,7 @@ func establishedWriter(t *testing.T, cfg Config, gap time.Duration) (c *Conn, ch
 	t.Helper()
 	sched := simtime.NewScheduler()
 	arena := pool.New()
-	segs := &segPool{arena: arena}
+	segs := newSegPool(arena)
 	cfg.Pool = arena
 	c, err := NewConn(sched, cfg, instr.Bundle{}, "server", 1000, func(seg *Segment) { segs.release(seg) })
 	if err != nil {

@@ -164,8 +164,9 @@ type Config struct {
 	// Pool, when non-nil, arms trial-scoped memory recycling on pairs
 	// built with NewPair: segment payloads (and the receiver's
 	// out-of-order buffers) are rented from the arena, Segment structs
-	// are free-listed, and netsim packet recycling is installed on the
-	// path so everything returns once the last delivery fires. The
+	// and netsim Packets go onto the arena's free lists, which every
+	// pair on the worker shares, and packet recycling is installed on
+	// the path so everything returns once the last delivery fires. The
 	// arena is owned by the worker running the trial and is reused —
 	// via its Reset contract — across that worker's trials. Pooling
 	// changes where bytes live, never what they contain; byte-identity
