@@ -30,8 +30,8 @@ type halfConn struct {
 // init keys the direction from SHA-256(label ‖ client random ‖ server
 // random): bytes [0,16) are the AES-128 key, [16,20) the implicit salt.
 func (h *halfConn) init(label string, clientRandom, serverRandom [32]byte) {
-	in := make([]byte, 0, len(label)+64)
-	in = append(in, label...)
+	var buf [128]byte // on the stack: a make sized by len(label) escapes
+	in := append(buf[:0], label...)
 	in = append(in, clientRandom[:]...)
 	in = append(in, serverRandom[:]...)
 	sum := sha256.Sum256(in)
