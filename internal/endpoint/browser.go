@@ -127,9 +127,10 @@ type fetch struct {
 	done      bool
 	doneAt    time.Duration
 	retries   int
-	streams   map[uint32]int // stream id → bytes received on it
-	retry     simtime.Timer  // duplicate-GET timer (see armRetry)
-	triggered []int          // plan step indices waiting on this object's completion
+	streams   []uint32      // ids of the streams carrying it, ascending (see addStream)
+	streamBuf [2]uint32     // backs streams: a fetch rarely needs more
+	retry     simtime.Timer // duplicate-GET timer (see armRetry)
+	triggered []int         // plan step indices waiting on this object's completion
 	// deadlineFrom anchors the completion deadline: the fetch must finish
 	// within the browser's (backed-off) patience of this instant or the
 	// reset cycle fires.
@@ -207,10 +208,10 @@ func NewBrowser(sched *simtime.Scheduler, rng *simtime.Rand, tcp *tcpsim.Conn, s
 	b.stack = st
 	st.h2c.SetHandlers(h2.Handlers{
 		OnStreamHeaders: func(s *h2.Stream, fields []h2.HeaderField, endStream bool) {
-			b.onResponseEvent(s, 0, endStream)
+			b.onResponseEvent(s, endStream)
 		},
 		OnStreamData: func(s *h2.Stream, data []byte, endStream bool) {
-			b.onResponseEvent(s, len(data), endStream)
+			b.onResponseEvent(s, endStream)
 		},
 		OnStreamReset: func(s *h2.Stream, code h2.ErrCode, remote bool) {
 			delete(b.byStream, s.ID())
@@ -315,7 +316,8 @@ func (b *Browser) ensureFetch(objectID string) *fetch {
 	if obj == nil {
 		panic("endpoint: plan references unknown object " + objectID)
 	}
-	f := &fetch{obj: obj, streams: make(map[uint32]int)}
+	f := &fetch{obj: obj}
+	f.streams = f.streamBuf[:0]
 	f.retry.Init(b.sched, func() { b.onRetry(f) })
 	b.fetches[objectID] = f
 	return f
@@ -337,7 +339,7 @@ func (b *Browser) request(f *fetch, kind RequestKind) {
 		b.break_("open stream: " + err.Error())
 		return
 	}
-	f.streams[s.ID()] = 0
+	f.addStream(s.ID())
 	if kind != RequestRetry {
 		// A fresh (or re-)request restarts the completion deadline; a
 		// retry does not — the object is still starving.
@@ -400,7 +402,7 @@ func (b *Browser) onPush(promised *h2.Stream, fields []h2.HeaderField) {
 	}
 	f.issued = true // the push replaces our request
 	f.deadlineFrom = b.sched.Now()
-	f.streams[promised.ID()] = 0
+	f.addStream(promised.ID())
 	b.byStream[promised.ID()] = f
 	b.result.Requests = append(b.result.Requests, RequestEvent{
 		Time:     b.sched.Now(),
@@ -414,7 +416,7 @@ func (b *Browser) onPush(promised *h2.Stream, fields []h2.HeaderField) {
 }
 
 // onResponseEvent handles headers/data arriving for a stream.
-func (b *Browser) onResponseEvent(s *h2.Stream, n int, endStream bool) {
+func (b *Browser) onResponseEvent(s *h2.Stream, endStream bool) {
 	f := b.byStream[s.ID()]
 	if f == nil {
 		return
@@ -422,7 +424,6 @@ func (b *Browser) onResponseEvent(s *h2.Stream, n int, endStream bool) {
 	b.lastProgress = b.sched.Now()
 	f.started = true
 	f.retry.Stop()
-	f.streams[s.ID()] += n
 	if endStream && !f.done {
 		f.done = true
 		f.doneAt = b.sched.Now()
@@ -434,10 +435,8 @@ func (b *Browser) onResponseEvent(s *h2.Stream, n int, endStream bool) {
 		if b.fl.Enabled() {
 			b.fl.ObjectDone(f.obj.ID, s.ID())
 		}
-		// Cancel sibling duplicate streams; the object is in. Sorted
-		// order keeps the RST sequence (and so the whole wire trace)
-		// reproducible — map order would reshuffle it per run.
-		for _, id := range sortedStreamIDs(f.streams) {
+		// Cancel sibling duplicate streams; the object is in.
+		for _, id := range f.streams {
 			if id == s.ID() {
 				continue
 			}
@@ -482,15 +481,13 @@ func (b *Browser) onStallCheck() {
 	b.armStallCheck()
 }
 
-// sortedStreamIDs returns a fetch's stream ids in ascending order, so
-// every loop that resets or inspects them acts deterministically.
-func sortedStreamIDs(m map[uint32]int) []uint32 {
-	ids := make([]uint32, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
+// addStream records a stream carrying the fetch. The ids stay ascending,
+// so every loop that resets them sends its RSTs (and so the whole wire
+// trace) in a reproducible order: a pushed stream's even id can be lower
+// than a request's.
+func (f *fetch) addStream(id uint32) {
+	i, _ := slices.BinarySearch(f.streams, id)
+	f.streams = slices.Insert(f.streams, i, id)
 }
 
 // openIncomplete returns fetches that were issued but have not completed.
@@ -525,13 +522,13 @@ func (b *Browser) doReset(open []*fetch) {
 	b.resetWait *= 2
 	b.retryWait *= 2
 	for _, f := range open {
-		for _, id := range sortedStreamIDs(f.streams) {
+		for _, id := range f.streams {
 			if s := b.stack.h2c.Stream(id); s != nil {
 				s.Reset(h2.ErrCodeCancel)
 			}
 			delete(b.byStream, id)
-			delete(f.streams, id)
 		}
+		f.streams = f.streams[:0]
 		f.started = false
 		f.deadlineFrom = b.sched.Now()
 		f.retry.Stop()
